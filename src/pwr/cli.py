@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or input errors, 2 check violations,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -64,9 +65,12 @@ def parse_config(text: str) -> dict[str, float | bool]:
             out[key] = value == "1"
         else:
             try:
-                out[key] = float(value)
+                number = float(value)
             except ValueError:
                 raise ValueError(f"config line {line_no}: bad number '{value}'") from None
+            if not math.isfinite(number):
+                raise ValueError(f"config line {line_no}: {key} must be finite, got '{value}'")
+            out[key] = number
     return out
 
 
@@ -94,15 +98,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_fix(args: argparse.Namespace) -> int:
     design = _load_design(args)
+    pins_before = sum(c.has_sleep_pin for c in design.cells)
     issues = analyze_crossings(design)
+    crossing_fixes = len(issues)
     fixed = apply_power_fixes(design, issues)
+    # the parsed design and its cached index are not needed past this point
+    del design, issues
     for island in fixed.islands:
         if island.switchable:
             fixed = insert_sleep_pins(fixed, island.name)
     netlist_text, _ = serialize_design(fixed)
     Path(args.out).write_text(netlist_text, encoding="utf-8")
-    pins = sum(c.has_sleep_pin for c in fixed.cells) - sum(c.has_sleep_pin for c in design.cells)
-    print(f"wrote {args.out}: {len(issues)} crossing fixes, {pins} sleep pins added")
+    pins = sum(c.has_sleep_pin for c in fixed.cells) - pins_before
+    print(f"wrote {args.out}: {crossing_fixes} crossing fixes, {pins} sleep pins added")
     return 0
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .netlist import (
-    FIX_KINDS,
     SLEEPABLE_KINDS,
     CellInstance,
     CellKind,
@@ -70,66 +69,32 @@ def analyze_crossings(design: Design, assume_transmission_gates: bool = False) -
     Existing level-shifter/iso cells are walked through: a shifter re-drives
     the signal at its own island's supply, and an iso cell discharges the
     isolation requirement only if it sits outside the driving island.
-    Port endpoints carry no island and are skipped.
+    Port endpoints carry no island and are skipped.  The walk itself is
+    cached on the design's topology; only the supplies are read per call.
     """
     islands = design.islands_by_name()
-    cells = design.cells_by_name()
-    driven: dict[str, list[Net]] = {}
-    for net in design.nets:
-        driven.setdefault(net.driver.cell, []).append(net)
-
     issues: list[CrossingIssue] = []
-    seen: set[tuple[str, str, IssueKind]] = set()
-
-    for net in design.nets:
-        driver = cells.get(net.driver.cell)
-        if driver is None:
-            continue
-        driver_island = islands[driver.island]
-
-        # (net to scan, effective swing, isolation already provided)
-        frontier: list[tuple[Net, float, bool]] = [(net, driver_island.vdd, False)]
-        visited = {net.name}
-        terminals: list[tuple[CellInstance, float, bool]] = []
-        while frontier:
-            current, eff_vdd, iso_ok = frontier.pop(0)
-            for ep in current.loads:
-                load = cells.get(ep.cell)
-                if load is None:
-                    continue
-                if load.kind in FIX_KINDS:
-                    next_vdd = islands[load.island].vdd if load.kind is CellKind.LEVEL_SHIFTER else eff_vdd
-                    next_iso = iso_ok or (load.kind is CellKind.ISO and load.island != driver.island)
-                    for onward in driven.get(load.name, ()):
-                        if onward.name not in visited:
-                            visited.add(onward.name)
-                            frontier.append((onward, next_vdd, next_iso))
-                else:
-                    terminals.append((load, eff_vdd, iso_ok))
-
-        for load, eff_vdd, iso_ok in terminals:
-            receiver = islands[load.island]
-            if receiver.name == driver.island:
-                continue
+    for net, driver_name, terminals in design.topology.crossing_walks:
+        driver_island = islands[driver_name]
+        seen: set[tuple[str, IssueKind]] = set()
+        for receiver_name, swing_island, isolated in terminals:
+            receiver = islands[receiver_name]
+            eff_vdd = islands[swing_island].vdd
             needs_shift = eff_vdd < receiver.vdd or (assume_transmission_gates and eff_vdd > receiver.vdd)
-            if needs_shift:
-                key = (net.name, receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER)
-                if key not in seen:
-                    seen.add(key)
-                    issues.append(CrossingIssue(
-                        net.name, driver.island, receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER,
-                        f"signal swings {eff_vdd:g} V into island '{receiver.name}' at {receiver.vdd:g} V"
-                        " with no level shifter on the path",
-                    ))
-            if driver_island.switchable and not iso_ok:
-                key = (net.name, receiver.name, IssueKind.NEEDS_ISOLATION)
-                if key not in seen:
-                    seen.add(key)
-                    issues.append(CrossingIssue(
-                        net.name, driver.island, receiver.name, IssueKind.NEEDS_ISOLATION,
-                        f"net leaves switchable island '{driver.island}' toward '{receiver.name}'"
-                        " with no isolation cell on the path",
-                    ))
+            if needs_shift and (receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER) not in seen:
+                seen.add((receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER))
+                issues.append(CrossingIssue(
+                    net, driver_name, receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER,
+                    f"signal swings {eff_vdd:g} V into island '{receiver_name}' at {receiver.vdd:g} V"
+                    " with no level shifter on the path",
+                ))
+            if driver_island.switchable and not isolated and (receiver_name, IssueKind.NEEDS_ISOLATION) not in seen:
+                seen.add((receiver_name, IssueKind.NEEDS_ISOLATION))
+                issues.append(CrossingIssue(
+                    net, driver_name, receiver_name, IssueKind.NEEDS_ISOLATION,
+                    f"net leaves switchable island '{driver_name}' toward '{receiver_name}'"
+                    " with no isolation cell on the path",
+                ))
     return issues
 
 
@@ -265,18 +230,19 @@ def insert_sleep_pins(design: Design, island_name: str) -> Design:
 
 def verify_power_intent(design: Design) -> list[Violation]:
     """Regression gate: no open crossings, no sleep-pin-less cells in
-    switchable islands."""
+    switchable islands (reported in island order, then cell order)."""
     violations = [
         Violation("crossing", issue.net, f"{issue.kind.value}: {issue.rationale}")
         for issue in analyze_crossings(design)
     ]
+    unpinned: dict[str, list[Violation]] = {i.name: [] for i in design.islands if i.switchable}
+    for cell in design.cells:
+        if cell.island in unpinned and cell.kind in SLEEPABLE_KINDS and not cell.has_sleep_pin:
+            unpinned[cell.island].append(Violation(
+                "missing_sleep_pin", cell.name,
+                f"cell in switchable island '{cell.island}' has no sleep pin",
+            ))
     for island in design.islands:
-        if not island.switchable:
-            continue
-        for cell in design.cells:
-            if cell.island == island.name and cell.kind in SLEEPABLE_KINDS and not cell.has_sleep_pin:
-                violations.append(Violation(
-                    "missing_sleep_pin", cell.name,
-                    f"cell in switchable island '{island.name}' has no sleep pin",
-                ))
+        if island.switchable:
+            violations.extend(unpinned[island.name])
     return violations

@@ -11,12 +11,23 @@ share this shape:
 
 Every parsed value is immutable after construction, so designs and profiles
 can be shared freely across threads.
+
+A ``Design`` also carries a topology index (name maps, gate sums per
+island, dynamic-power terms and the crossing walk), built member by member
+on first use and then kept.  Each cached member is a pure function of the
+frozen fields it reads, so a thread race can compute one twice but never
+get a different value.  The walk and the power terms depend only on
+``cells`` and ``nets``: ``Design.with_supplies`` retargets the island
+supplies and shares the index, while any other new ``Design`` builds its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -28,6 +39,7 @@ __all__ = [
     "Net",
     "Port",
     "Design",
+    "Topology",
     "DesignError",
     "ActivityProfile",
     "CharRow",
@@ -112,6 +124,110 @@ class Port:
     vdd: float
 
 
+# A load reached by walking a net through the fix cells on its path:
+# (receiving island, island whose supply sets the arriving swing,
+#  whether an iso cell outside the driver's island is on the path).
+Terminal = tuple[str, str, bool]
+# One cell-driven net's walk: (net, driver island, distinct foreign terminals).
+CrossingWalk = tuple[str, str, tuple[Terminal, ...]]
+
+
+class Topology:
+    """Supply-independent index over one ``(cells, nets)`` pair.
+
+    Every member is computed on first use from the tuples it was given and
+    never changes afterwards.  Mappings are read-only views.
+    """
+
+    def __init__(self, cells: tuple[CellInstance, ...], nets: tuple[Net, ...]) -> None:
+        self._cells = cells
+        self._nets = nets
+
+    @cached_property
+    def _cell_map(self) -> dict[str, CellInstance]:
+        return {c.name: c for c in self._cells}
+
+    @cached_property
+    def cells_by_name(self) -> Mapping[str, CellInstance]:
+        return MappingProxyType(self._cell_map)
+
+    @cached_property
+    def nets_by_name(self) -> Mapping[str, Net]:
+        return MappingProxyType({n.name: n for n in self._nets})
+
+    @cached_property
+    def gates_by_island(self) -> Mapping[str, int]:
+        out: dict[str, int] = {}
+        for cell in self._cells:
+            out[cell.island] = out.get(cell.island, 0) + cell.gate_count
+        return MappingProxyType(out)
+
+    @cached_property
+    def pim(self) -> CellInstance | None:
+        return next((c for c in self._cells if c.kind is CellKind.PIM), None)
+
+    @cached_property
+    def dynamic_terms(self) -> Mapping[str, tuple[tuple[float, str], ...]]:
+        """``(cap_ff, net)`` of every cell-driven net, grouped by the driver's
+        island and in net order within each island."""
+        cells = self._cell_map
+        out: dict[str, list[tuple[float, str]]] = {}
+        for net in self._nets:
+            driver = cells.get(net.driver.cell)
+            if driver is not None:
+                out.setdefault(driver.island, []).append((driver.cap_ff, net.name))
+        return MappingProxyType({island: tuple(terms) for island, terms in out.items()})
+
+    @cached_property
+    def crossing_walks(self) -> tuple[CrossingWalk, ...]:
+        """Breadth-first walk of every cell-driven net through the level
+        shifters and iso cells on its path, in net order.
+
+        A shifter re-drives the signal at its own island's supply, and an iso
+        cell provides isolation only outside the driving island.  Port loads
+        are skipped.  Only distinct terminals outside the driver's island are
+        kept, in walk order, and nets without one are dropped.
+        """
+        cells = self._cell_map
+        # the walk only continues through fix cells, so only their nets matter
+        relayed: dict[str, list[Net]] = {}
+        for net in self._nets:
+            relay = cells.get(net.driver.cell)
+            if relay is not None and relay.kind in FIX_KINDS:
+                relayed.setdefault(relay.name, []).append(net)
+        # identical terminals and terminal sets are shared between nets
+        shared: dict[tuple, tuple] = {}
+        walks: list[CrossingWalk] = []
+        for net in self._nets:
+            driver = cells.get(net.driver.cell)
+            if driver is None:
+                continue
+            home = driver.island
+            frontier = [(net, home, False)]
+            visited = {net.name}
+            terminals: list[Terminal] = []
+            for current, swing, isolated in frontier:  # grows while iterated: BFS order
+                for ep in current.loads:
+                    load = cells.get(ep.cell)
+                    if load is None:
+                        continue
+                    if load.kind in FIX_KINDS:
+                        next_swing = load.island if load.kind is CellKind.LEVEL_SHIFTER else swing
+                        next_iso = isolated or (load.kind is CellKind.ISO and load.island != home)
+                        for onward in relayed.get(load.name, ()):
+                            if onward.name not in visited:
+                                visited.add(onward.name)
+                                frontier.append((onward, next_swing, next_iso))
+                    elif load.island != home:
+                        terminal = (load.island, swing, isolated)
+                        if terminal not in terminals:
+                            terminals.append(shared.setdefault(terminal, terminal))
+            if terminals:
+                found = tuple(terminals)
+                walks.append((net.name, home, shared.setdefault(found, found)))
+        return tuple(walks)
+
+
 @dataclass(frozen=True)
 class Design:
     """A flat gate-level design plus its power intent."""
@@ -121,23 +237,53 @@ class Design:
     nets: tuple[Net, ...] = ()
     ports: tuple[Port, ...] = ()
 
-    def islands_by_name(self) -> dict[str, Island]:
-        return {i.name: i for i in self.islands}
+    def __getstate__(self) -> dict[str, object]:
+        # cached members are rebuilt on demand, never pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def cells_by_name(self) -> dict[str, CellInstance]:
-        return {c.name: c for c in self.cells}
+    @cached_property
+    def topology(self) -> Topology:
+        """The shared index over ``cells`` and ``nets``; see ``Topology``."""
+        return Topology(self.cells, self.nets)
 
-    def nets_by_name(self) -> dict[str, Net]:
-        return {n.name: n for n in self.nets}
+    @cached_property
+    def _islands_by_name(self) -> Mapping[str, Island]:
+        return MappingProxyType({i.name: i for i in self.islands})
 
-    def ports_by_name(self) -> dict[str, Port]:
-        return {p.name: p for p in self.ports}
+    @cached_property
+    def _ports_by_name(self) -> Mapping[str, Port]:
+        return MappingProxyType({p.name: p for p in self.ports})
 
-    def cells_in(self, island: str) -> tuple[CellInstance, ...]:
-        return tuple(c for c in self.cells if c.island == island)
+    def islands_by_name(self) -> Mapping[str, Island]:
+        return self._islands_by_name
+
+    def cells_by_name(self) -> Mapping[str, CellInstance]:
+        return self.topology.cells_by_name
+
+    def nets_by_name(self) -> Mapping[str, Net]:
+        return self.topology.nets_by_name
+
+    def ports_by_name(self) -> Mapping[str, Port]:
+        return self._ports_by_name
 
     def pim_cell(self) -> CellInstance | None:
-        return next((c for c in self.cells if c.kind is CellKind.PIM), None)
+        return self.topology.pim
+
+    def with_supplies(self, vdd_by_island: Mapping[str, float]) -> Design:
+        """A copy with the named islands retargeted to new supplies.
+
+        Islands missing from the mapping keep their supply.  Cells and nets
+        are unchanged, so the copy shares this design's topology index.
+        """
+        unknown = set(vdd_by_island) - set(self.islands_by_name())
+        if unknown:
+            raise ValueError(f"unknown island '{min(unknown)}'")
+        retargeted = replace(
+            self,
+            islands=tuple(replace(i, vdd=vdd_by_island.get(i.name, i.vdd)) for i in self.islands),
+        )
+        object.__setattr__(retargeted, "topology", self.topology)
+        return retargeted
 
 
 @dataclass(frozen=True)
@@ -236,9 +382,12 @@ def _name_token(source: str, line_no: int, tokens: list[str]) -> str:
 
 def _float(source: str, line_no: int, key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ParseError(source, line_no, f"bad number for {key}: '{value}'") from None
+    if not math.isfinite(number):
+        raise ParseError(source, line_no, f"{key} must be finite, got '{value}'")
+    return number
 
 
 def _int(source: str, line_no: int, key: str, value: str) -> int:
@@ -381,8 +530,8 @@ def validate_design(design: Design) -> list[DesignError]:
         if isl.name in island_names:
             errors.append(DesignError("island", isl.name, "duplicate name"))
         island_names.add(isl.name)
-        if isl.vdd <= 0:
-            errors.append(DesignError("island", isl.name, "vdd must be positive"))
+        if not 0 < isl.vdd < math.inf:
+            errors.append(DesignError("island", isl.name, "vdd must be positive and finite"))
         if isl.retention and not isl.switchable:
             errors.append(DesignError("island", isl.name, "retention requires switchable"))
 
@@ -394,8 +543,8 @@ def validate_design(design: Design) -> list[DesignError]:
         cell_names.add(cell.name)
         if cell.island not in island_names:
             errors.append(DesignError("cell", cell.name, f"unknown island '{cell.island}'"))
-        if cell.cap_ff < 0:
-            errors.append(DesignError("cell", cell.name, "cap_ff must be >= 0"))
+        if not 0 <= cell.cap_ff < math.inf:
+            errors.append(DesignError("cell", cell.name, "cap_ff must be finite and >= 0"))
         if cell.gate_count < 1:
             errors.append(DesignError("cell", cell.name, "gates must be >= 1"))
         if cell.kind is CellKind.PIM:

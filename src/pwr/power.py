@@ -293,19 +293,19 @@ def dynamic_power(design: Design, activity: ActivityProfile, params: DynamicPowe
     """Per-island dynamic power; a net is charged to its driving island.
 
     Summation runs in net declaration order so results are reproducible.
-    Port-driven nets carry no cell capacitance and contribute nothing.
+    Port-driven nets carry no cell capacitance and contribute nothing.  The
+    terms come from the design's cached topology; only supplies and
+    activity are read per call.
     """
-    islands = design.islands_by_name()
-    cells = design.cells_by_name()
-    per_island = {island.name: 0.0 for island in design.islands}
-    for net in design.nets:
-        driver = cells.get(net.driver.cell)
-        if driver is None:
-            continue
-        vdd = islands[driver.island].vdd
-        per_island[driver.island] += (
-            params.k * driver.cap_ff * 1e-15 * vdd * vdd * params.f_clk_mhz * 1e6 * activity.sa(net.name)
-        )
+    vdd_by_island = {island.name: island.vdd for island in design.islands}
+    per_island = dict.fromkeys(vdd_by_island, 0.0)
+    k, f_clk_mhz, sa = params.k, params.f_clk_mhz, activity.sa_by_net.get
+    for island, terms in design.topology.dynamic_terms.items():
+        vdd = vdd_by_island[island]
+        total = 0.0
+        for cap_ff, net in terms:
+            total += k * cap_ff * 1e-15 * vdd * vdd * f_clk_mhz * 1e6 * sa(net, 0.0)
+        per_island[island] = total
     rows = tuple(IslandPower(i.name, dynamic_w=per_island[i.name]) for i in design.islands)
     return PowerReport(rows, assumptions=(("k", params.k), ("f_clk_mhz", params.f_clk_mhz)))
 
@@ -333,9 +333,10 @@ def static_power(
 
     i_awake = leakage_current_per_gate(0.0, temp_c, model)
     i_asleep = leakage_current_per_gate(model.bias_v, temp_c, model)
+    gates_by_island = design.topology.gates_by_island
     rows = []
     for island in design.islands:
-        gates = sum(c.gate_count for c in design.cells if c.island == island.name)
+        gates = gates_by_island.get(island.name, 0)
         if island.name in asleep:
             rows.append(IslandPower(island.name, static_sleep_w=gates * i_asleep * island.vdd))
         else:

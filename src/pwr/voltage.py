@@ -8,7 +8,7 @@ of the flow, so the table is authoritative.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .crossings import IssueKind, analyze_crossings
@@ -125,10 +125,11 @@ def assign_voltages(
 
     The returned plan carries a copy of the design retargeted to the chosen
     voltages so crossing analysis can price the level-shifter bill of
-    materials.
+    materials; the copy shares the design's topology index.
     """
+    islands = design.islands_by_name()
     for name in list(f_req_mhz) + list(pinned):
-        if name not in design.islands_by_name():
+        if name not in islands:
             raise ValueError(f"unknown island '{name}'")
 
     choices: dict[str, OperatingPoint] = {}
@@ -152,10 +153,7 @@ def assign_voltages(
             else None
         )
 
-    retargeted = replace(
-        design,
-        islands=tuple(replace(i, vdd=choices[i.name].vdd) for i in design.islands),
-    )
+    retargeted = design.with_supplies({name: point.vdd for name, point in choices.items()})
     return VoltagePlan(choices, freqs, baseline_v, baseline_points, retargeted)
 
 
@@ -176,10 +174,7 @@ def power_savings_summary(
     shifters = Counter(i.receiver_island for i in issues if i.kind is IssueKind.NEEDS_LEVEL_SHIFTER)
     isolations = Counter(i.receiver_island for i in issues if i.kind is IssueKind.NEEDS_ISOLATION)
 
-    baseline_design = replace(
-        design,
-        islands=tuple(replace(i, vdd=baseline_v) for i in design.islands),
-    )
+    baseline_design = design.with_supplies(dict.fromkeys(design.islands_by_name(), baseline_v))
     base = dynamic_power(baseline_design, activity, params)
     base_by_island = {row.island: row.dynamic_w for row in base.islands}
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_design
+from pwr.cli import parse_config
 from pwr.netlist import (
     CellKind,
     Design,
@@ -16,6 +17,7 @@ from pwr.netlist import (
     serialize_design,
     validate_design,
 )
+from pwr.power import parse_calibration
 
 
 def test_parse_three_island_soc(soc3):
@@ -187,3 +189,26 @@ def test_parse_characterization_duplicate_key():
 def test_parse_characterization_rejects_nonpositive():
     with pytest.raises(ParseError, match="must be positive"):
         parse_characterization("op x vdd=1.0 fmax_mhz=0 area_um2=1 cap_factor=1\n")
+
+
+# -- non-finite numbers ------------------------------------------------------------
+
+_CELL = "cell a kind=std island=x\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (lambda t: parse_design("", t), "island y vdd=1.0\nisland x vdd=nan\n"),
+        (lambda t: parse_design(t, "island x vdd=1.0\n"), _CELL + "cell b kind=std island=x cap_ff=inf\n"),
+        (lambda t: parse_design(t, "island x vdd=1.0\n"), _CELL + "port p dir=in vdd=-inf\n"),
+        (lambda t: parse_activity(t, 100.0), "net n toggles=1 duration_ns=10\nnet n toggles=1 duration_ns=inf\n"),
+        (parse_characterization, "# ops\nop x vdd=nan fmax_mhz=inf area_um2=1 cap_factor=1\n"),
+        (parse_calibration, "# calib\ncalib nand2 temp=25 source=silicon factor=inf\n"),
+        (parse_config, "t_save=10\nbias_v=nan\n"),
+    ],
+    ids=["intent", "netlist-cell", "netlist-port", "activity", "characterization", "calib", "config"],
+)
+def test_non_finite_numbers_are_rejected_with_line(parse, text):
+    with pytest.raises((ParseError, ValueError), match=r"line 2: \w+ must be finite"):
+        parse(text)
