@@ -41,6 +41,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """argparse ``type=`` for numbers that must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number '{text}'") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got '{text}'")
+    return value
+
+
+def _pin(text: str) -> tuple[str, float]:
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"bad value '{text}' (want ISLAND=VOLTS)")
+    return name, _finite_float(value)
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -130,12 +148,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     design = _load_design(args)
     table = parse_characterization(_read(args.char))
-    pinned: dict[str, float] = {}
-    for item in args.pin:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"bad --pin '{item}' (want ISLAND=VOLTS)")
-        pinned[name] = float(value)
+    pinned = dict(args.pin)
     reqs = {i.name: args.freq_mhz for i in design.islands if i.name not in pinned}
     plan = assign_voltages(design, table, reqs, pinned, baseline_v=args.baseline_v)
     # without measured toggle data, weight islands by capacitance at full activity
@@ -179,9 +192,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--netlist", required=True)
     p.add_argument("--intent", required=True)
     p.add_argument("--activity", required=True)
-    p.add_argument("--fclk-mhz", type=float, required=True)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--temp-c", type=float, default=25.0)
+    p.add_argument("--fclk-mhz", type=_finite_float, required=True)
+    p.add_argument("--k", type=_finite_float, default=1.0)
+    p.add_argument("--temp-c", type=_finite_float, default=25.0)
     p.add_argument("--sleep", action="append", default=[], metavar="ISLAND")
     p.add_argument("--config", default=None)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -191,9 +204,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--netlist", required=True)
     p.add_argument("--intent", required=True)
     p.add_argument("--char", required=True)
-    p.add_argument("--freq-mhz", type=float, required=True)
-    p.add_argument("--pin", action="append", default=[], metavar="ISLAND=V")
-    p.add_argument("--baseline-v", type=float, default=1.2)
+    p.add_argument("--freq-mhz", type=_finite_float, required=True)
+    p.add_argument("--pin", type=_pin, action="append", default=[], metavar="ISLAND=V")
+    p.add_argument("--baseline-v", type=_finite_float, default=1.2)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_optimize)
 

@@ -1,13 +1,19 @@
 """Domain model and parsers for the island/netlist file formats.
 
 All input formats are line based UTF-8: ``#`` starts a comment, tokens are
-whitespace separated, and attributes are ``key=value`` pairs.  Four formats
-share this shape:
+whitespace separated, and attributes are ``key=value`` pairs.  One reader,
+``_statements``, turns each ``<directive> <name> key=value ...`` line into
+its name and attributes, given the directive's required and optional keys:
 
 * intent file     -- ``island <name> vdd=<float> switchable=<0|1> retention=<0|1>``
 * netlist file    -- ``cell``, ``net`` and ``port`` statements
 * activity file   -- ``net <name> toggles=<int> duration_ns=<float>``
 * characterization -- ``op <class> vdd=<f> fmax_mhz=<f> area_um2=<f> cap_factor=<f>``
+  and ``calib`` lines, read by ``power.parse_calibration``
+
+Each parser then converts the values and applies its format's range rules.
+``parse_design`` checks no design invariant itself: it runs the same walk
+as ``validate_design`` and reports the first fault at its line.
 
 Every parsed value is immutable after construction, so designs and profiles
 can be shared freely across threads.
@@ -340,15 +346,33 @@ class CharTable:
 
 
 # ---------------------------------------------------------------------------
-# tokenizing helpers shared by all four formats
+# tokenizing helpers shared by all formats
+
+# directive -> (required keys, optional keys), or None for lines another
+# reader of the same file owns
+_Grammar = Mapping[str, tuple[tuple[str, ...], tuple[str, ...]] | None]
 
 
 def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
+
+
+def _statements(source: str, text: str, grammar: _Grammar) -> Iterator[tuple[int, str, str, dict[str, str]]]:
+    """``(line_no, directive, name, attrs)`` of every ``<directive> <name>
+    key=value ...`` line whose directive ``grammar`` gives keys for."""
+    for line_no, tokens in _token_lines(text):
+        directive = tokens[0]
+        if directive not in grammar:
+            raise ParseError(source, line_no, f"unknown directive '{directive}'")
+        keys = grammar[directive]
+        if keys is None:
             continue
-        yield line_no, line.split()
+        if len(tokens) < 2 or "=" in tokens[1]:
+            raise ParseError(source, line_no, f"'{directive}' statement needs a name")
+        yield line_no, directive, tokens[1], _attrs(source, line_no, tokens[2:], *keys)
 
 
 def _attrs(
@@ -374,17 +398,11 @@ def _attrs(
     return out
 
 
-def _name_token(source: str, line_no: int, tokens: list[str]) -> str:
-    if len(tokens) < 2 or "=" in tokens[1]:
-        raise ParseError(source, line_no, f"'{tokens[0]}' statement needs a name")
-    return tokens[1]
-
-
 def _float(source: str, line_no: int, key: str, value: str) -> float:
     try:
         number = float(value)
     except ValueError:
-        raise ParseError(source, line_no, f"bad number for {key}: '{value}'") from None
+        raise ParseError(source, line_no, f"bad {key} '{value}' (want a number)") from None
     if not math.isfinite(number):
         raise ParseError(source, line_no, f"{key} must be finite, got '{value}'")
     return number
@@ -394,7 +412,7 @@ def _int(source: str, line_no: int, key: str, value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ParseError(source, line_no, f"bad integer for {key}: '{value}'") from None
+        raise ParseError(source, line_no, f"bad {key} '{value}' (want an integer)") from None
 
 
 def _flag(source: str, line_no: int, key: str, value: str) -> bool:
@@ -418,74 +436,50 @@ def _num(x: float) -> str:
 # design parsing / validation / serialization
 
 
+_INTENT_GRAMMAR = {"island": (("vdd",), ("switchable", "retention"))}
+_NETLIST_GRAMMAR = {
+    "cell": (("kind", "island"), ("cap_ff", "gates", "sleep")),
+    "net": (("driver",), ("loads",)),
+    "port": (("dir", "vdd"), ()),
+}
+
+
 def parse_design(netlist_text: str, intent_text: str) -> Design:
     """Parse a netlist plus power-intent pair into a validated Design.
 
-    Raises ParseError on bad syntax or on any violated design invariant
-    (duplicate names, unknown island references, unresolved endpoints).
+    Raises ParseError on bad syntax, or at the line of the first invariant
+    ``validate_design`` would report (intent before netlist, then by line).
     """
     islands: list[Island] = []
-    island_lines: dict[str, int] = {}
-    for line_no, tokens in _token_lines(intent_text):
-        if tokens[0] != "island":
-            raise ParseError("intent", line_no, f"unknown directive '{tokens[0]}'")
-        name = _name_token("intent", line_no, tokens)
-        if name in island_lines:
-            raise ParseError("intent", line_no, f"duplicate island '{name}'")
-        attrs = _attrs("intent", line_no, tokens[2:], required=("vdd",), optional=("switchable", "retention"))
-        vdd = _float("intent", line_no, "vdd", attrs["vdd"])
-        if vdd <= 0:
-            raise ParseError("intent", line_no, f"vdd must be positive, got '{attrs['vdd']}'")
-        switchable = _flag("intent", line_no, "switchable", attrs.get("switchable", "0"))
-        retention = _flag("intent", line_no, "retention", attrs.get("retention", "0"))
-        if retention and not switchable:
-            raise ParseError("intent", line_no, f"island '{name}': retention requires switchable")
-        islands.append(Island(name, vdd, switchable, retention))
-        island_lines[name] = line_no
+    # line numbers per statement category, aligned with the Design tuples
+    lines: dict[str, list[int]] = {"island": [], "cell": [], "net": [], "port": []}
+    for line_no, _, name, attrs in _statements("intent", intent_text, _INTENT_GRAMMAR):
+        islands.append(Island(
+            name,
+            _float("intent", line_no, "vdd", attrs["vdd"]),
+            _flag("intent", line_no, "switchable", attrs.get("switchable", "0")),
+            _flag("intent", line_no, "retention", attrs.get("retention", "0")),
+        ))
+        lines["island"].append(line_no)
 
     cells: list[CellInstance] = []
     nets: list[Net] = []
     ports: list[Port] = []
-    cell_lines: dict[str, int] = {}
-    net_lines: dict[str, int] = {}
-    port_lines: dict[str, int] = {}
-    pim_name: str | None = None
-
-    for line_no, tokens in _token_lines(netlist_text):
-        stmt = tokens[0]
+    for line_no, stmt, name, attrs in _statements("netlist", netlist_text, _NETLIST_GRAMMAR):
         if stmt == "cell":
-            name = _name_token("netlist", line_no, tokens)
-            if name in cell_lines:
-                raise ParseError("netlist", line_no, f"duplicate cell '{name}'")
-            attrs = _attrs(
-                "netlist", line_no, tokens[2:],
-                required=("kind", "island"),
-                optional=("cap_ff", "gates", "sleep"),
-            )
             try:
                 kind = CellKind(attrs["kind"])
             except ValueError:
                 raise ParseError("netlist", line_no, f"unknown cell kind '{attrs['kind']}'") from None
-            if attrs["island"] not in island_lines:
-                raise ParseError("netlist", line_no, f"unknown island '{attrs['island']}'")
-            cap_ff = _float("netlist", line_no, "cap_ff", attrs.get("cap_ff", "0"))
-            if cap_ff < 0:
-                raise ParseError("netlist", line_no, f"cap_ff must be >= 0, got '{attrs['cap_ff']}'")
-            gates = _int("netlist", line_no, "gates", attrs.get("gates", "1"))
-            if gates < 1:
-                raise ParseError("netlist", line_no, f"gates must be >= 1, got '{attrs['gates']}'")
-            sleep = _flag("netlist", line_no, "sleep", attrs.get("sleep", "0"))
-            if kind is CellKind.PIM:
-                if pim_name is not None:
-                    raise ParseError("netlist", line_no, f"multiple pim cells ('{pim_name}' and '{name}')")
-                pim_name = name
-            cells.append(CellInstance(name, kind, attrs["island"], cap_ff, gates, sleep))
-            cell_lines[name] = line_no
+            cells.append(CellInstance(
+                name,
+                kind,
+                attrs["island"],
+                _float("netlist", line_no, "cap_ff", attrs.get("cap_ff", "0")),
+                _int("netlist", line_no, "gates", attrs.get("gates", "1")),
+                _flag("netlist", line_no, "sleep", attrs.get("sleep", "0")),
+            ))
         elif stmt == "net":
-            name = _name_token("netlist", line_no, tokens)
-            if name in net_lines:
-                raise ParseError("netlist", line_no, f"duplicate net '{name}'")
-            attrs = _attrs("netlist", line_no, tokens[2:], required=("driver",), optional=("loads",))
             driver = _endpoint("netlist", line_no, attrs["driver"])
             loads = tuple(
                 _endpoint("netlist", line_no, item)
@@ -493,87 +487,86 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
                 if item
             )
             nets.append(Net(name, driver, loads))
-            net_lines[name] = line_no
-        elif stmt == "port":
-            name = _name_token("netlist", line_no, tokens)
-            if name in port_lines:
-                raise ParseError("netlist", line_no, f"duplicate port '{name}'")
-            attrs = _attrs("netlist", line_no, tokens[2:], required=("dir", "vdd"))
+        else:
             if attrs["dir"] not in ("in", "out"):
                 raise ParseError("netlist", line_no, f"bad direction '{attrs['dir']}' (want in or out)")
             ports.append(Port(name, attrs["dir"], _float("netlist", line_no, "vdd", attrs["vdd"])))
-            port_lines[name] = line_no
-        else:
-            raise ParseError("netlist", line_no, f"unknown directive '{stmt}'")
+        lines[stmt].append(line_no)
 
-    # endpoint resolution needs the full symbol table, so it runs last
-    endpoint_names = set(cell_lines) | set(port_lines)
-    out_ports = {p.name for p in ports if p.direction == "out"}
-    for net in nets:
-        line_no = net_lines[net.name]
-        if net.driver.cell not in endpoint_names:
-            raise ParseError("netlist", line_no, f"net '{net.name}': unresolved driver '{net.driver}'")
-        for ep in net.loads:
-            if ep.cell not in endpoint_names:
-                raise ParseError("netlist", line_no, f"net '{net.name}': unresolved load '{ep}'")
-        if not net.loads and net.name not in out_ports:
-            raise ParseError("netlist", line_no, f"net '{net.name}' has no loads and is not a top-level output")
-
-    return Design(tuple(islands), tuple(cells), tuple(nets), tuple(ports))
+    design = Design(tuple(islands), tuple(cells), tuple(nets), tuple(ports))
+    fault = min(
+        _design_faults(design),
+        key=lambda f: (f[0] != "island", lines[f[0]][f[1]]),
+        default=None,
+    )
+    if fault is not None:
+        category, index, _ = fault
+        source = "intent" if category == "island" else "netlist"
+        raise ParseError(source, lines[category][index], str(_design_error(design, *fault)))
+    return design
 
 
-def validate_design(design: Design) -> list[DesignError]:
-    """Check every design invariant; empty result means the design is sound."""
-    errors: list[DesignError] = []
+def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
+    """Every broken design invariant as ``(category, index, rule)``, where
+    ``index`` points into the category's tuple: islands, cells, ports, nets."""
     island_names: set[str] = set()
-    for isl in design.islands:
+    for i, isl in enumerate(design.islands):
         if isl.name in island_names:
-            errors.append(DesignError("island", isl.name, "duplicate name"))
+            yield "island", i, "duplicate name"
         island_names.add(isl.name)
         if not 0 < isl.vdd < math.inf:
-            errors.append(DesignError("island", isl.name, "vdd must be positive and finite"))
+            yield "island", i, "vdd must be positive and finite"
         if isl.retention and not isl.switchable:
-            errors.append(DesignError("island", isl.name, "retention requires switchable"))
+            yield "island", i, "retention requires switchable"
 
     cell_names: set[str] = set()
-    pim_count = 0
-    for cell in design.cells:
+    pim_seen = False
+    for i, cell in enumerate(design.cells):
         if cell.name in cell_names:
-            errors.append(DesignError("cell", cell.name, "duplicate name"))
+            yield "cell", i, "duplicate name"
         cell_names.add(cell.name)
         if cell.island not in island_names:
-            errors.append(DesignError("cell", cell.name, f"unknown island '{cell.island}'"))
+            yield "cell", i, f"unknown island '{cell.island}'"
         if not 0 <= cell.cap_ff < math.inf:
-            errors.append(DesignError("cell", cell.name, "cap_ff must be finite and >= 0"))
+            yield "cell", i, "cap_ff must be finite and >= 0"
         if cell.gate_count < 1:
-            errors.append(DesignError("cell", cell.name, "gates must be >= 1"))
+            yield "cell", i, "gates must be >= 1"
         if cell.kind is CellKind.PIM:
-            pim_count += 1
-            if pim_count > 1:
-                errors.append(DesignError("cell", cell.name, "more than one pim cell"))
+            if pim_seen:
+                yield "cell", i, "multiple pim cells"
+            pim_seen = True
 
     port_names: set[str] = set()
-    for port in design.ports:
+    for i, port in enumerate(design.ports):
         if port.name in port_names:
-            errors.append(DesignError("port", port.name, "duplicate name"))
+            yield "port", i, "duplicate name"
         port_names.add(port.name)
+        if not 0 < port.vdd < math.inf:
+            yield "port", i, "vdd must be positive and finite"
 
     endpoint_names = cell_names | port_names
     out_ports = {p.name for p in design.ports if p.direction == "out"}
     net_names: set[str] = set()
-    for net in design.nets:
+    for i, net in enumerate(design.nets):
         if net.name in net_names:
-            errors.append(DesignError("net", net.name, "duplicate name"))
+            yield "net", i, "duplicate name"
         net_names.add(net.name)
         if net.driver.cell not in endpoint_names:
-            errors.append(DesignError("net", net.name, "unresolved driver"))
+            yield "net", i, "unresolved driver"
         for ep in net.loads:
             if ep.cell not in endpoint_names:
-                errors.append(DesignError("net", net.name, f"unresolved load '{ep}'"))
+                yield "net", i, f"unresolved load '{ep}'"
         if not net.loads and net.name not in out_ports:
-            errors.append(DesignError("net", net.name, "no loads and not a top-level output"))
+            yield "net", i, "no loads and not a top-level output"
 
-    return errors
+
+def _design_error(design: Design, category: str, index: int, rule: str) -> DesignError:
+    return DesignError(category, getattr(design, category + "s")[index].name, rule)
+
+
+def validate_design(design: Design) -> list[DesignError]:
+    """Check every design invariant; empty result means the design is sound."""
+    return [_design_error(design, *fault) for fault in _design_faults(design)]
 
 
 def serialize_design(design: Design) -> tuple[str, str]:
@@ -620,13 +613,10 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
     known = design.nets_by_name() if design is not None else None
     toggles: dict[str, int] = {}
     durations: dict[str, float] = {}
-    for line_no, tokens in _token_lines(activity_text):
-        if tokens[0] != "net":
-            raise ParseError("activity", line_no, f"unknown directive '{tokens[0]}'")
-        name = _name_token("activity", line_no, tokens)
+    grammar = {"net": (("toggles", "duration_ns"), ())}
+    for line_no, _, name, attrs in _statements("activity", activity_text, grammar):
         if known is not None and name not in known:
             raise ParseError("activity", line_no, f"unknown net '{name}'")
-        attrs = _attrs("activity", line_no, tokens[2:], required=("toggles", "duration_ns"))
         count = _int("activity", line_no, "toggles", attrs["toggles"])
         if count < 0:
             raise ParseError("activity", line_no, f"toggles must be >= 0, got '{attrs['toggles']}'")
@@ -647,16 +637,8 @@ def parse_characterization(char_text: str) -> CharTable:
     """Parse measured operating points; `calib` lines are handled elsewhere."""
     rows: list[CharRow] = []
     seen: set[tuple[str, float]] = set()
-    for line_no, tokens in _token_lines(char_text):
-        if tokens[0] == "calib":
-            continue
-        if tokens[0] != "op":
-            raise ParseError("characterization", line_no, f"unknown directive '{tokens[0]}'")
-        name = _name_token("characterization", line_no, tokens)
-        attrs = _attrs(
-            "characterization", line_no, tokens[2:],
-            required=("vdd", "fmax_mhz", "area_um2", "cap_factor"),
-        )
+    grammar = {"op": (("vdd", "fmax_mhz", "area_um2", "cap_factor"), ()), "calib": None}
+    for line_no, _, name, attrs in _statements("characterization", char_text, grammar):
         vdd = _float("characterization", line_no, "vdd", attrs["vdd"])
         fmax = _float("characterization", line_no, "fmax_mhz", attrs["fmax_mhz"])
         area = _float("characterization", line_no, "area_um2", attrs["area_um2"])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
-from .netlist import ParseError, _token_lines
+from .netlist import ParseError, _float, _token_lines
 
 __all__ = [
     "PimConfig",
@@ -222,10 +222,9 @@ def parse_script(text: str) -> tuple[ScriptCommand, ...]:
     for line_no, tokens in _token_lines(text):
         if tokens[0] != "at" or len(tokens) < 3:
             raise ParseError("script", line_no, f"expected 'at <ns> <command>', got '{' '.join(tokens)}'")
-        try:
-            time_ns = float(tokens[1])
-        except ValueError:
-            raise ParseError("script", line_no, f"bad time '{tokens[1]}'") from None
+        time_ns = _float("script", line_no, "time", tokens[1])
+        if time_ns < 0:
+            raise ParseError("script", line_no, f"time must be >= 0, got '{tokens[1]}'")
         op = tokens[2]
         if op not in ("write_sleep", "read_status"):
             raise ParseError("script", line_no, f"unknown command '{op}'")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .netlist import ActivityProfile, Design, ParseError, _attrs, _float, _name_token, _token_lines
+from .netlist import ActivityProfile, Design, ParseError, _float, _int, _statements
 
 __all__ = [
     "DynamicPowerParams",
@@ -231,12 +231,9 @@ def parse_calibration(text: str) -> CalibrationTable:
     lines out of a characterization file."""
     entries: list[CalibrationEntry] = []
     seen: set[tuple[str, int, str]] = set()
-    for line_no, tokens in _token_lines(text):
-        if tokens[0] != "calib":
-            continue
-        name = _name_token("characterization", line_no, tokens)
-        attrs = _attrs("characterization", line_no, tokens[2:], required=("temp", "source", "factor"))
-        temp = int(_float("characterization", line_no, "temp", attrs["temp"]))
+    grammar = {"calib": (("temp", "source", "factor"), ()), "op": None}
+    for line_no, _, name, attrs in _statements("characterization", text, grammar):
+        temp = _int("characterization", line_no, "temp", attrs["temp"])
         if attrs["source"] not in ("model", "silicon"):
             raise ParseError("characterization", line_no, f"bad source '{attrs['source']}' (want model or silicon)")
         factor = _float("characterization", line_no, "factor", attrs["factor"])

@@ -1,14 +1,18 @@
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_design
+from helpers import random_design, random_fixed_design
 from pwr.cli import parse_config
 from pwr.netlist import (
+    CellInstance,
     CellKind,
     Design,
+    Endpoint,
     Island,
     ParseError,
     parse_activity,
@@ -40,8 +44,9 @@ def test_unknown_island_reference_errors():
 
 def test_duplicate_cell_name_errors():
     text = "cell a kind=std island=x\ncell a kind=std island=x\n"
-    with pytest.raises(ParseError, match="duplicate cell 'a'"):
+    with pytest.raises(ParseError, match="cell a: duplicate name") as info:
         parse_design(text, "island x vdd=1.2\n")
+    assert info.value.line_no == 2
 
 
 def test_retention_requires_switchable():
@@ -79,6 +84,97 @@ def test_net_without_loads_needs_out_port():
     assert validate_design(design) == []
     with pytest.raises(ParseError, match="no loads"):
         parse_design("cell a kind=std island=x\nnet n driver=a.z\n", "island x vdd=1.2\n")
+
+
+_INTENT = "island x vdd=1.2\n"
+_CELL = "cell a kind=std island=x\n"
+
+
+@pytest.mark.parametrize(
+    "netlist, intent, source, line_no",
+    [
+        ("", "island x vdd=1.2\nisland x vdd=1.0\n", "intent", 2),
+        ("", "island x vdd=0\n", "intent", 1),
+        ("", "island y vdd=1.0\nisland x vdd=1.0 retention=1\n", "intent", 2),
+        (_CELL + "net n driver=a.z loads=a.b\n" + _CELL, _INTENT, "netlist", 3),
+        (_CELL + "cell b kind=std island=gpu\n", _INTENT, "netlist", 2),
+        ("cell a kind=std island=x cap_ff=-1\n", _INTENT, "netlist", 1),
+        ("cell a kind=std island=x gates=0\n", _INTENT, "netlist", 1),
+        ("cell p1 kind=pim island=x\n" + _CELL + "cell p2 kind=pim island=x\n", _INTENT, "netlist", 3),
+        ("port p dir=in vdd=1.2\nport p dir=out vdd=1.2\n", _INTENT, "netlist", 2),
+        ("port p dir=in vdd=-1.0\n", _INTENT, "netlist", 1),
+        ("port p dir=in vdd=0\n", _INTENT, "netlist", 1),
+        (_CELL + "net n driver=a.z loads=a.b\nnet n driver=a.z loads=a.c\n", _INTENT, "netlist", 3),
+        (_CELL + "net n driver=ghost.z loads=a.b\n", _INTENT, "netlist", 2),
+        (_CELL + "net n driver=a.z loads=a.b,ghost.c\n", _INTENT, "netlist", 2),
+        (_CELL + "net n driver=a.z\n", _INTENT, "netlist", 2),
+    ],
+    ids=[
+        "duplicate-island", "island-vdd", "retention", "duplicate-cell", "unknown-island", "cap_ff",
+        "gates", "second-pim", "duplicate-port", "port-vdd-negative", "port-vdd-zero", "duplicate-net",
+        "unresolved-driver", "unresolved-load", "no-loads",
+    ],
+)
+def test_each_invariant_fails_parse_at_its_line_with_the_validate_rule(netlist, intent, source, line_no, monkeypatch):
+    with pytest.raises(ParseError) as info:
+        parse_design(netlist, intent)
+    assert (info.value.source, info.value.line_no) == (source, line_no)
+    with monkeypatch.context() as m:
+        # the same text read into a Design with the invariant walk switched off
+        m.setattr("pwr.netlist._design_faults", lambda design: iter(()))
+        design = parse_design(netlist, intent)
+    [error] = validate_design(design)
+    assert info.value.message == str(error)
+
+
+def test_parse_reports_intent_faults_first_then_the_lowest_line():
+    netlist = "net n driver=ghost.z loads=a.b\n" + _CELL + "cell b kind=std island=gpu\n"
+    with pytest.raises(ParseError) as info:
+        parse_design(netlist, _INTENT)
+    assert (info.value.source, info.value.line_no) == ("netlist", 1)
+    with pytest.raises(ParseError) as info:
+        parse_design(netlist, "island y vdd=1.0\nisland x vdd=-1.2\n")
+    assert (info.value.source, info.value.line_no) == ("intent", 2)
+
+
+def _change_one(design: Design, field: str, rng: random.Random, **changes) -> Design:
+    items = list(getattr(design, field))
+    at = rng.randrange(len(items))
+    items[at] = replace(items[at], **changes)
+    return replace(design, **{field: tuple(items)})
+
+
+_DEFECTS = {
+    "none": lambda d, r: d,
+    "duplicate-island": lambda d, r: replace(d, islands=d.islands + (r.choice(d.islands),)),
+    "island-vdd": lambda d, r: _change_one(d, "islands", r, vdd=r.choice((0.0, -0.8, math.nan))),
+    "retention": lambda d, r: _change_one(d, "islands", r, switchable=False, retention=True),
+    "duplicate-cell": lambda d, r: replace(d, cells=d.cells + (r.choice(d.cells),)),
+    "unknown-island": lambda d, r: _change_one(d, "cells", r, island="nowhere"),
+    "cap_ff": lambda d, r: _change_one(d, "cells", r, cap_ff=r.choice((-1.0, math.inf))),
+    "gates": lambda d, r: _change_one(d, "cells", r, gate_count=r.choice((0, -3))),
+    "second-pim": lambda d, r: replace(d, cells=d.cells + (CellInstance("pim1", CellKind.PIM, d.islands[0].name),)),
+    "duplicate-port": lambda d, r: replace(d, ports=d.ports + (r.choice(d.ports),)),
+    "port-vdd": lambda d, r: _change_one(d, "ports", r, vdd=r.choice((0.0, -1.2))),
+    "duplicate-net": lambda d, r: replace(d, nets=d.nets + (r.choice(d.nets),)),
+    "unresolved-driver": lambda d, r: _change_one(d, "nets", r, driver=Endpoint("ghost", "z")),
+    "unresolved-load": lambda d, r: _change_one(d, "nets", r, loads=(Endpoint("ghost", "a"),)),
+    "no-loads": lambda d, r: _change_one(d, "nets", r, loads=()),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(_DEFECTS)))
+def test_parse_rejects_exactly_what_validate_rejects(seed, defect):
+    rng = random.Random(seed)
+    design = _DEFECTS[defect](random_fixed_design(rng), rng)
+    try:
+        parsed = parse_design(*serialize_design(design))
+    except ParseError:
+        assert validate_design(design) != []
+    else:
+        assert validate_design(design) == []
+        assert parsed == design
 
 
 def test_port_driven_net_parses():
@@ -192,8 +288,6 @@ def test_parse_characterization_rejects_nonpositive():
 
 
 # -- non-finite numbers ------------------------------------------------------------
-
-_CELL = "cell a kind=std island=x\n"
 
 
 @pytest.mark.parametrize(

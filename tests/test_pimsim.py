@@ -182,6 +182,10 @@ def test_parse_script_errors():
         parse_script("at 0 jump\n")
     with pytest.raises(ParseError, match="bad time"):
         parse_script("at soon write_sleep\n")
+    with pytest.raises(ParseError, match="line 2: time must be finite"):
+        parse_script("at 0 write_sleep\nat nan read_status\n")
+    with pytest.raises(ParseError, match="line 1: time must be >= 0"):
+        parse_script("at -5 write_sleep\n")
 
 
 # -- trace / vcd ------------------------------------------------------------------

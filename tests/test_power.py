@@ -293,11 +293,21 @@ def test_calibration_override_file():
     assert calibrated_reduction_factor("nand2", 25, "silicon", table) == 80.0
 
 
+def test_char_and_calib_lines_share_one_file():
+    from pwr.netlist import parse_characterization
+
+    text = "op cpu vdd=1.2 fmax_mhz=155 area_um2=1 cap_factor=1\ncalib nand2 temp=25 source=silicon factor=80\n"
+    assert [r.island_class for r in parse_characterization(text).rows] == ["cpu"]
+    assert [e.device_class for e in parse_calibration(text).entries] == ["nand2"]
+
+
 def test_calibration_file_rejects_bad_rows():
     from pwr.netlist import ParseError
 
     with pytest.raises(ParseError, match="factor must exceed 1"):
         parse_calibration("calib nand2 temp=25 source=model factor=0.5\n")
+    with pytest.raises(ParseError, match="line 1: bad temp '25.9'"):
+        parse_calibration("calib nand2 temp=25.9 source=model factor=2\n")
     with pytest.raises(ParseError, match="duplicate calibration"):
         parse_calibration(
             "calib nand2 temp=25 source=model factor=2\ncalib nand2 temp=25 source=model factor=3\n"

@@ -247,6 +247,29 @@ def test_usage_errors_exit_1(workspace, capsys):
     assert run_cli(["check", "--netlist", "missing.net", "--intent", workspace["intent"]]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("power", "--fclk-mhz", "nan"),
+        ("power", "--k", "inf"),
+        ("power", "--temp-c", "inf"),
+        ("optimize", "--freq-mhz", "nan"),
+        ("optimize", "--baseline-v", "inf"),
+        ("optimize", "--pin", "usb=nan"),
+    ],
+)
+def test_non_finite_cli_numbers_exit_1(workspace, capsys, command, option, value):
+    args = {
+        "power": ["--activity", workspace["activity"], "--fclk-mhz", "150"],
+        "optimize": ["--char", workspace["char"], "--freq-mhz", "150"],
+    }[command]
+    argv = [command, "--netlist", workspace["netlist"], "--intent", workspace["intent"], *args, option, value]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be finite" in captured.err
+
+
 def test_parse_error_exits_1(workspace, capsys):
     bad = workspace["dir"] / "bad.net"
     bad.write_text("cell a kind=std island=nowhere\n")
