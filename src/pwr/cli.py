@@ -116,19 +116,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_fix(args: argparse.Namespace) -> int:
     design = _load_design(args)
-    pins_before = sum(c.has_sleep_pin for c in design.cells)
-    issues = analyze_crossings(design)
-    crossing_fixes = len(issues)
-    fixed = apply_power_fixes(design, issues)
-    # the parsed design and its cached index are not needed past this point
-    del design, issues
-    for island in fixed.islands:
-        if island.switchable:
-            fixed = insert_sleep_pins(fixed, island.name)
+    pinned = insert_sleep_pins(design)
+    pins = sum(ep.pin == "slpb" for net in pinned.nets for ep in net.loads)
+    pins -= sum(ep.pin == "slpb" for net in design.nets for ep in net.loads)
+    pin_nets = {n.name for n in pinned.nets} - set(design.nets_by_name())
+    del design
+    issues = analyze_crossings(pinned)
+    sleep_fixes = sum(issue.net in pin_nets for issue in issues)
+    counts = f"{len(issues) - sleep_fixes} crossing fixes, {pins} sleep pins added, {sleep_fixes} sleep-net fixes"
+    fixed = apply_power_fixes(pinned, issues)
+    # the pinned design and its cached index are not needed past this point
+    del pinned, issues
     netlist_text, _ = serialize_design(fixed)
     Path(args.out).write_text(netlist_text, encoding="utf-8")
-    pins = sum(c.has_sleep_pin for c in fixed.cells) - pins_before
-    print(f"wrote {args.out}: {crossing_fixes} crossing fixes, {pins} sleep pins added")
+    print(f"wrote {args.out}: {counts}")
     return 0
 
 

@@ -1,7 +1,9 @@
 """Power-domain crossing checks and netlist repair.
 
-Crossing rules, evaluated per (net, receiving island) pair by tracing each
-net through any level-shifter/isolation cells already on the path:
+Each signal is walked from its real driver (any cell but a shifter or iso
+cell) through the level-shifter/isolation cells already on its path.  An
+issue names the net whose direct loads are the receivers: the net where
+``apply_power_fixes`` splices the new cell.  Rules, per (net, receiving island):
 
 * a driver swinging below the receiver's supply needs a level shifter;
 * a driver swinging at or above the receiver's supply is safe into plain
@@ -98,8 +100,14 @@ def analyze_crossings(design: Design, assume_transmission_gates: bool = False) -
     return issues
 
 
-def _fix_cell_name(prefix: str, net: str, receiver: str, unique_for_net: bool) -> str:
-    return f"{prefix}_{net}" if unique_for_net else f"{prefix}_{net}_{receiver}"
+def _unique(name: str, taken: set[str]) -> str:
+    """``name``, or the first free ``name_<n>`` for n = 1, 2, ...; marked taken."""
+    unique, n = name, 0
+    while unique in taken:
+        n += 1
+        unique = f"{name}_{n}"
+    taken.add(unique)
+    return unique
 
 
 def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
@@ -107,33 +115,32 @@ def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
 
     Inserted cells live in the receiving island and get deterministic names
     (``ls_<net>`` / ``iso_<net>``, suffixed with the island when one net needs
-    the same fix toward several islands).  Adds exactly one cell per issue and
+    the same fix toward several islands, then with ``_<n>`` if the name is
+    taken).  Adds one cell per distinct (net, receiving island, kind) and
     leaves everything else untouched; re-analysis of the result is clean.
 
-    Issues must come from ``analyze_crossings`` on this same design; in
-    particular the flagged nets must still have direct loads in the
-    receiving island.
+    Issues must come from ``analyze_crossings`` on this same design.
     """
     if not issues:
         return design
     cells = design.cells_by_name()
     nets_by_name = design.nets_by_name()
-    for issue in issues:
-        if issue.net not in nets_by_name:
-            raise ValueError(f"issue references unknown net '{issue.net}'")
 
     # one fix chain per (net, receiving island), level shifter ahead of iso
     groups: dict[tuple[str, str], list[IssueKind]] = {}
     for issue in issues:
+        if issue.net not in nets_by_name:
+            raise ValueError(f"issue references unknown net '{issue.net}'")
         kinds = groups.setdefault((issue.net, issue.receiver_island), [])
         if issue.kind not in kinds:
             kinds.append(issue.kind)
-    kind_counts = Counter((issue.net, issue.kind) for issue in issues)
+    kind_counts = Counter((net, kind) for (net, _), kinds in groups.items() for kind in kinds)
 
     new_cells: list[CellInstance] = []
     added_nets: list[Net] = []
     patched: dict[str, Net] = {}
-    taken_cell_names = set(cells)
+    # cells and ports share the endpoint namespace
+    taken_cell_names = set(cells) | set(design.ports_by_name())
     taken_net_names = set(nets_by_name)
 
     for (net_name, receiver), kinds in groups.items():
@@ -142,14 +149,9 @@ def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
         other_loads: list[Endpoint] = []
         for ep in net.loads:
             cell = cells.get(ep.cell)
-            if cell is not None and cell.island == receiver:
-                receiver_loads.append(ep)
-            else:
-                other_loads.append(ep)
-        if not receiver_loads:
-            raise ValueError(
-                f"net '{net_name}' has no direct loads in island '{receiver}'; re-run the analysis"
-            )
+            (receiver_loads if cell is not None and cell.island == receiver else other_loads).append(ep)
+        if not receiver_loads:  # stale issues: analyze_crossings never gives these
+            raise ValueError(f"net '{net_name}' has no direct loads in island '{receiver}'")
 
         chain: list[CellInstance] = []
         for kind in (IssueKind.NEEDS_LEVEL_SHIFTER, IssueKind.NEEDS_ISOLATION):
@@ -157,75 +159,57 @@ def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
                 continue
             prefix = "ls" if kind is IssueKind.NEEDS_LEVEL_SHIFTER else "iso"
             cell_kind = CellKind.LEVEL_SHIFTER if kind is IssueKind.NEEDS_LEVEL_SHIFTER else CellKind.ISO
-            name = _fix_cell_name(prefix, net_name, receiver, kind_counts[(net_name, kind)] == 1)
-            if name in taken_cell_names:
-                raise ValueError(f"generated cell name '{name}' collides with an existing cell")
-            taken_cell_names.add(name)
-            chain.append(CellInstance(name, cell_kind, receiver))
+            name = f"{prefix}_{net_name}"
+            if kind_counts[(net_name, kind)] > 1:
+                name += f"_{receiver}"
+            chain.append(CellInstance(_unique(name, taken_cell_names), cell_kind, receiver))
         new_cells.extend(chain)
 
         patched[net_name] = replace(net, loads=tuple(other_loads) + (Endpoint(chain[0].name, "a"),))
         for i, fix_cell in enumerate(chain):
-            out_name = f"{fix_cell.name}_out"
-            if out_name in taken_net_names:
-                raise ValueError(f"generated net name '{out_name}' collides with an existing net")
-            taken_net_names.add(out_name)
             loads = (Endpoint(chain[i + 1].name, "a"),) if i + 1 < len(chain) else tuple(receiver_loads)
+            out_name = _unique(f"{fix_cell.name}_out", taken_net_names)
             added_nets.append(Net(out_name, Endpoint(fix_cell.name, "z"), loads))
 
     nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(added_nets)
     return replace(design, cells=design.cells + tuple(new_cells), nets=nets)
 
 
-def insert_sleep_pins(design: Design, island_name: str) -> Design:
-    """Hook every sleepable cell of a switchable island to its SLPB net.
+def insert_sleep_pins(design: Design) -> Design:
+    """Hook every sleepable cell of every switchable island to its SLPB net.
 
     The net ``slpb_<island>`` is driven by the design's power-island manager
-    cell when present, otherwise by a new top-level input port.  Shifter,
-    iso, and manager cells never take sleep pins.  Idempotent.
+    cell when present, otherwise by a new top-level input port at the
+    island's supply; new nets and ports are added in island order.  Shifter,
+    iso, and manager cells never take sleep pins.  A cell whose ``slpb`` pin
+    is already a load of some net (say, of a spliced sleep-net shifter) only
+    gets its flag set.  Idempotent.
     """
-    islands = design.islands_by_name()
-    if island_name not in islands:
-        raise ValueError(f"island unknown: '{island_name}'")
-    if not islands[island_name].switchable:
-        raise ValueError(f"island not switchable: '{island_name}'")
-
-    targets = [c for c in design.cells if c.island == island_name and c.kind in SLEEPABLE_KINDS]
-    if not targets:
+    hooked: dict[str, list[Endpoint]] = {i.name: [] for i in design.islands if i.switchable}
+    wired = {ep.cell for net in design.nets for ep in net.loads if ep.pin == "slpb"}
+    cells = list(design.cells)
+    for at, cell in enumerate(cells):
+        if cell.island in hooked and cell.kind in SLEEPABLE_KINDS:
+            if cell.name not in wired:
+                hooked[cell.island].append(Endpoint(cell.name, "slpb"))
+            if not cell.has_sleep_pin:
+                cells[at] = replace(cell, has_sleep_pin=True)
+    pending = {f"slpb_{island}": (island, loads) for island, loads in hooked.items() if loads}
+    if not pending and tuple(cells) == design.cells:
         return design
 
-    net_name = f"slpb_{island_name}"
-    existing = design.nets_by_name().get(net_name)
-    ports = design.ports
-    if existing is not None:
-        driver = existing.driver
-    else:
-        pim = design.pim_cell()
-        if pim is not None:
-            driver = Endpoint(pim.name, net_name)
-        else:
-            if net_name not in design.ports_by_name():
-                ports = ports + (Port(net_name, "in", islands[island_name].vdd),)
-            driver = Endpoint(net_name, "p")
-
-    loads = list(existing.loads) if existing is not None else []
-    connected = {ep.cell for ep in loads}
-    for cell in targets:
-        if cell.name not in connected:
-            loads.append(Endpoint(cell.name, "slpb"))
-    slpb_net = Net(net_name, driver, tuple(loads))
-
-    if existing is not None:
-        nets = tuple(slpb_net if n.name == net_name else n for n in design.nets)
-    else:
-        nets = design.nets + (slpb_net,)
-    cells = tuple(
-        replace(c, has_sleep_pin=True)
-        if c.island == island_name and c.kind in SLEEPABLE_KINDS
-        else c
-        for c in design.cells
-    )
-    return replace(design, cells=cells, nets=nets, ports=ports)
+    nets = list(design.nets)
+    for at, net in enumerate(nets):
+        if net.name in pending:
+            nets[at] = replace(net, loads=net.loads + tuple(pending.pop(net.name)[1]))
+    ports = list(design.ports)
+    pim = design.pim_cell()
+    for net_name, (island, loads) in pending.items():
+        if pim is None and net_name not in design.ports_by_name():
+            ports.append(Port(net_name, "in", design.islands_by_name()[island].vdd))
+        driver = Endpoint(net_name, "p") if pim is None else Endpoint(pim.name, net_name)
+        nets.append(Net(net_name, driver, tuple(loads)))
+    return replace(design, cells=tuple(cells), nets=tuple(nets), ports=tuple(ports))
 
 
 def verify_power_intent(design: Design) -> list[Violation]:
@@ -235,14 +219,10 @@ def verify_power_intent(design: Design) -> list[Violation]:
         Violation("crossing", issue.net, f"{issue.kind.value}: {issue.rationale}")
         for issue in analyze_crossings(design)
     ]
-    unpinned: dict[str, list[Violation]] = {i.name: [] for i in design.islands if i.switchable}
-    for cell in design.cells:
-        if cell.island in unpinned and cell.kind in SLEEPABLE_KINDS and not cell.has_sleep_pin:
-            unpinned[cell.island].append(Violation(
-                "missing_sleep_pin", cell.name,
-                f"cell in switchable island '{cell.island}' has no sleep pin",
-            ))
-    for island in design.islands:
-        if island.switchable:
-            violations.extend(unpinned[island.name])
-    return violations
+    order = {i.name: at for at, i in enumerate(design.islands) if i.switchable}
+    unpinned = [c for c in design.cells if c.island in order and c.kind in SLEEPABLE_KINDS and not c.has_sleep_pin]
+    unpinned.sort(key=lambda c: order[c.island])  # stable: cell order within an island
+    return violations + [
+        Violation("missing_sleep_pin", c.name, f"cell in switchable island '{c.island}' has no sleep pin")
+        for c in unpinned
+    ]

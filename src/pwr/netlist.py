@@ -134,7 +134,8 @@ class Port:
 # (receiving island, island whose supply sets the arriving swing,
 #  whether an iso cell outside the driver's island is on the path).
 Terminal = tuple[str, str, bool]
-# One cell-driven net's walk: (net, driver island, distinct foreign terminals).
+# One net reached by a walk: (net, island of the walk's driver, distinct
+# foreign terminals among the net's direct loads).
 CrossingWalk = tuple[str, str, tuple[Terminal, ...]]
 
 
@@ -186,33 +187,48 @@ class Topology:
 
     @cached_property
     def crossing_walks(self) -> tuple[CrossingWalk, ...]:
-        """Breadth-first walk of every cell-driven net through the level
-        shifters and iso cells on its path, in net order.
+        """Breadth-first walks from each signal's real driver through the
+        level shifters and iso cells on its path.
 
-        A shifter re-drives the signal at its own island's supply, and an iso
-        cell provides isolation only outside the driving island.  Port loads
-        are skipped.  Only distinct terminals outside the driver's island are
-        kept, in walk order, and nets without one are dropped.
+        A walk starts at every net driven by a cell that is not a shifter or
+        iso cell, in net order.  Then each fix-driven net no walk has reached
+        starts its own: first those whose fix cell is no load of a fix-driven
+        net, then the rest, each in net order.  A shifter re-drives at its own
+        island's supply; an iso cell isolates only outside the driving island.
+        Port loads are skipped.  Each net a walk reaches files, in walk order,
+        the distinct terminals outside the driver's island among its own
+        direct loads (that net is where a fix must splice), if any, once per
+        driver island: later walks from that island add theirs to its entry.
         """
         cells = self._cell_map
         # the walk only continues through fix cells, so only their nets matter
         relayed: dict[str, list[Net]] = {}
+        starts: list[Net] = []
+        relay_starts: list[Net] = []
         for net in self._nets:
-            relay = cells.get(net.driver.cell)
-            if relay is not None and relay.kind in FIX_KINDS:
-                relayed.setdefault(relay.name, []).append(net)
+            driver = cells.get(net.driver.cell)
+            if driver is not None and driver.kind in FIX_KINDS:
+                relayed.setdefault(driver.name, []).append(net)
+                relay_starts.append(net)
+            elif driver is not None:
+                starts.append(net)
+        # relay starts whose fix cell hangs on no fix-driven net go first
+        fed = {ep.cell for nets in relayed.values() for net in nets for ep in net.loads}
+        relay_starts.sort(key=lambda net: net.driver.cell in fed)
         # identical terminals and terminal sets are shared between nets
         shared: dict[tuple, tuple] = {}
         walks: list[CrossingWalk] = []
-        for net in self._nets:
-            driver = cells.get(net.driver.cell)
-            if driver is None:
+        reached: set[str] = set()
+        # where each fix-driven net was filed, per walk driver island
+        filed: dict[tuple[str, str], int] = {}
+        for net in starts + relay_starts:
+            if net.name in reached:
                 continue
-            home = driver.island
+            home = cells[net.driver.cell].island
             frontier = [(net, home, False)]
             visited = {net.name}
-            terminals: list[Terminal] = []
             for current, swing, isolated in frontier:  # grows while iterated: BFS order
+                terminals: list[Terminal] = []
                 for ep in current.loads:
                     load = cells.get(ep.cell)
                     if load is None:
@@ -223,14 +239,22 @@ class Topology:
                         for onward in relayed.get(load.name, ()):
                             if onward.name not in visited:
                                 visited.add(onward.name)
+                                reached.add(onward.name)
                                 frontier.append((onward, next_swing, next_iso))
                     elif load.island != home:
                         terminal = (load.island, swing, isolated)
                         if terminal not in terminals:
                             terminals.append(shared.setdefault(terminal, terminal))
-            if terminals:
+                if not terminals:
+                    continue
+                at = len(walks)
+                if current.driver.cell in relayed:  # another walk may have filed it
+                    at = filed.setdefault((current.name, home), at)
+                    if at < len(walks):  # merge, keeping the earlier walk's terminals first
+                        terminals = [*walks[at][2], *(t for t in terminals if t not in walks[at][2])]
                 found = tuple(terminals)
-                walks.append((net.name, home, shared.setdefault(found, found)))
+                # replaces the entry at ``at``, or appends when at == len(walks)
+                walks[at:at + 1] = [(current.name, home, shared.setdefault(found, found))]
         return tuple(walks)
 
 
@@ -339,10 +363,7 @@ class CharTable:
         return tuple(r for r in self.rows if r.island_class == island_class)
 
     def row(self, island_class: str, vdd: float) -> CharRow | None:
-        for r in self.rows:
-            if r.island_class == island_class and r.vdd == vdd:
-                return r
-        return None
+        return next((r for r in self.rows if r.island_class == island_class and r.vdd == vdd), None)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +396,8 @@ def _statements(source: str, text: str, grammar: _Grammar) -> Iterator[tuple[int
         yield line_no, directive, tokens[1], _attrs(source, line_no, tokens[2:], *keys)
 
 
-def _attrs(
-    source: str,
-    line_no: int,
-    tokens: Iterable[str],
-    required: tuple[str, ...],
-    optional: tuple[str, ...] = (),
-) -> dict[str, str]:
+def _attrs(source: str, line_no: int, tokens: Iterable[str],
+           required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, str]:
     out: dict[str, str] = {}
     for tok in tokens:
         key, sep, value = tok.partition("=")
@@ -488,8 +504,6 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
             )
             nets.append(Net(name, driver, loads))
         else:
-            if attrs["dir"] not in ("in", "out"):
-                raise ParseError("netlist", line_no, f"bad direction '{attrs['dir']}' (want in or out)")
             ports.append(Port(name, attrs["dir"], _float("netlist", line_no, "vdd", attrs["vdd"])))
         lines[stmt].append(line_no)
 
@@ -536,27 +550,34 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
                 yield "cell", i, "multiple pim cells"
             pim_seen = True
 
-    port_names: set[str] = set()
+    # an endpoint names a cell first, then a port, as the crossing walk reads it
+    direction: dict[str, str] = {}
     for i, port in enumerate(design.ports):
-        if port.name in port_names:
+        if port.name in direction:
             yield "port", i, "duplicate name"
-        port_names.add(port.name)
+        direction.setdefault(port.name, port.direction)
+        if port.direction not in ("in", "out"):
+            yield "port", i, "direction must be in or out"
         if not 0 < port.vdd < math.inf:
             yield "port", i, "vdd must be positive and finite"
 
-    endpoint_names = cell_names | port_names
-    out_ports = {p.name for p in design.ports if p.direction == "out"}
     net_names: set[str] = set()
     for i, net in enumerate(design.nets):
         if net.name in net_names:
             yield "net", i, "duplicate name"
         net_names.add(net.name)
-        if net.driver.cell not in endpoint_names:
+        if net.driver.cell not in cell_names and net.driver.cell not in direction:
             yield "net", i, "unresolved driver"
+        elif net.driver.cell not in cell_names and direction[net.driver.cell] == "out":
+            yield "net", i, f"driver '{net.driver}' is an output port"
         for ep in net.loads:
-            if ep.cell not in endpoint_names:
+            if ep.cell in cell_names:
+                continue
+            if ep.cell not in direction:
                 yield "net", i, f"unresolved load '{ep}'"
-        if not net.loads and net.name not in out_ports:
+            elif direction[ep.cell] == "in":
+                yield "net", i, f"load '{ep}' is an input port"
+        if not net.loads and direction.get(net.name) != "out":
             yield "net", i, "no loads and not a top-level output"
 
 
@@ -578,9 +599,7 @@ def serialize_design(design: Design) -> tuple[str, str]:
         f"island {i.name} vdd={_num(i.vdd)} switchable={int(i.switchable)} retention={int(i.retention)}"
         for i in design.islands
     ]
-    lines: list[str] = []
-    for p in design.ports:
-        lines.append(f"port {p.name} dir={p.direction} vdd={_num(p.vdd)}")
+    lines = [f"port {p.name} dir={p.direction} vdd={_num(p.vdd)}" for p in design.ports]
     for c in design.cells:
         stmt = (
             f"cell {c.name} kind={c.kind.value} island={c.island}"

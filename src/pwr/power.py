@@ -198,9 +198,9 @@ class CalibrationEntry:
 class CalibrationTable:
     entries: tuple[CalibrationEntry, ...] = ()
 
-    def factor(self, device_class: str, temp_c: int, source: str) -> float:
+    def factor(self, device_class: str, temp_c: float, source: str) -> float:
         for entry in self.entries:
-            if (entry.device_class, entry.temp_c, entry.source) == (device_class, int(temp_c), source):
+            if (entry.device_class, entry.temp_c, entry.source) == (device_class, temp_c, source):
                 return entry.reduction_factor
         raise ValueError(f"no calibration entry for ({device_class}, {temp_c} C, {source})")
 
@@ -219,7 +219,7 @@ DEFAULT_CALIBRATION = CalibrationTable((
 
 def calibrated_reduction_factor(
     device_class: str,
-    temp_c: int,
+    temp_c: float,
     source: str,
     table: CalibrationTable | None = None,
 ) -> float:

@@ -41,15 +41,19 @@ def random_design(rng: random.Random) -> Design:
 
 
 def random_fixed_design(rng: random.Random) -> Design:
-    """A ``random_design`` with level shifters and iso cells spliced onto
-    existing nets (possibly onto each other's outputs), a pim, and an input
-    port driving a net that also feeds an output port."""
+    """A ``random_design`` with a pim, an input port driving a net that also
+    feeds an output port, level shifters and iso cells spliced onto existing
+    nets (possibly onto each other's outputs or the port's net), and
+    sometimes a cell or net named like one ``apply_power_fixes`` would
+    generate."""
     design = random_design(rng)
     islands = [i.name for i in design.islands]
     cells = list(design.cells)
     nets = list(design.nets)
     cells.append(CellInstance("pim0", CellKind.PIM, rng.choice(islands), cap_ff=5.0))
     nets.append(Net("pim_net", Endpoint("pim0", "z"), (Endpoint(rng.choice(cells).name, "a"),)))
+    ports = (Port("pin", "in", rng.choice(VOLTAGES)), Port("pout", "out", rng.choice(VOLTAGES)))
+    nets.append(Net("pin_net", Endpoint("pin", "p"), (Endpoint(rng.choice(cells).name, "a"), Endpoint("pout", "p"))))
     for i in range(rng.randint(0, 8)):
         at = rng.randrange(len(nets))
         net = nets[at]
@@ -60,30 +64,49 @@ def random_fixed_design(rng: random.Random) -> Design:
         cells.append(fix)
         nets[at] = replace(net, loads=tuple(kept) + (Endpoint(fix.name, "a"),))
         nets.append(Net(f"fx{i}_out", Endpoint(fix.name, "z"), tuple(moved)))
-    ports = (Port("pin", "in", rng.choice(VOLTAGES)), Port("pout", "out", rng.choice(VOLTAGES)))
-    nets.append(Net("pin_net", Endpoint("pin", "p"), (Endpoint(rng.choice(cells).name, "a"), Endpoint("pout", "p"))))
+    for _ in range(rng.randint(0, 2)):
+        taken = f"{rng.choice(('ls', 'iso'))}_{rng.choice(nets).name}"
+        if any(n.name == f"{taken}_out" for n in nets):
+            continue
+        if rng.random() < 0.5:
+            cells.append(CellInstance(taken, CellKind.STD, rng.choice(islands)))
+        loads = (Endpoint(rng.choice(cells).name, "a"),)
+        nets.append(Net(f"{taken}_out", Endpoint(rng.choice(cells).name, "y"), loads))
     return Design(design.islands, tuple(cells), tuple(nets), ports)
 
 
 def reference_crossings(design: Design, assume_transmission_gates: bool = False) -> list[CrossingIssue]:
-    """The crossing analysis as a fresh breadth-first walk per call, with no
-    cached index: the oracle for ``analyze_crossings``."""
+    """The crossing analysis as fresh breadth-first walks per call, with no
+    cached index: the oracle for ``analyze_crossings``.
+
+    Walks start at nets driven by a cell other than a shifter or iso cell,
+    then at fix-driven nets no walk has reached yet: first those whose fix
+    cell is no load of a fix-driven net, then the rest, each group in net
+    order.  Every terminal is reported against the net whose direct load it
+    is; issues are grouped per (that net, walk driver island) in order of
+    first discovery, one per receiving island and kind."""
     islands = {i.name: i for i in design.islands}
     cells = {c.name: c for c in design.cells}
     driven: dict[str, list[Net]] = {}
     for net in design.nets:
         driven.setdefault(net.driver.cell, []).append(net)
+    cell_driven = [n for n in design.nets if n.driver.cell in cells]
+    starts = [n for n in cell_driven if cells[n.driver.cell].kind not in FIX_KINDS]
+    relays = [n for n in cell_driven if cells[n.driver.cell].kind in FIX_KINDS]
+    fed = {ep.cell for n in relays for ep in n.loads}
+    starts += [n for n in relays if n.driver.cell not in fed] + [n for n in relays if n.driver.cell in fed]
 
-    issues: list[CrossingIssue] = []
-    seen: set[tuple[str, str, IssueKind]] = set()
-    for net in design.nets:
-        driver = cells.get(net.driver.cell)
-        if driver is None:
+    groups: dict[tuple[str, str], dict[tuple[str, IssueKind], CrossingIssue]] = {}
+    reached: set[str] = set()
+    for net in starts:
+        if net.name in reached:
             continue
+        driver = cells[net.driver.cell]
         driver_island = islands[driver.island]
         frontier: list[tuple[Net, float, bool]] = [(net, driver_island.vdd, False)]
         visited = {net.name}
-        terminals: list[tuple[CellInstance, float, bool]] = []
+        # (net the load hangs on, load cell, arriving swing, isolated)
+        terminals: list[tuple[str, CellInstance, float, bool]] = []
         while frontier:
             current, eff_vdd, iso_ok = frontier.pop(0)
             for ep in current.loads:
@@ -98,32 +121,28 @@ def reference_crossings(design: Design, assume_transmission_gates: bool = False)
                             visited.add(onward.name)
                             frontier.append((onward, next_vdd, next_iso))
                 else:
-                    terminals.append((load, eff_vdd, iso_ok))
+                    terminals.append((current.name, load, eff_vdd, iso_ok))
+        reached |= visited
 
-        for load, eff_vdd, iso_ok in terminals:
+        for splice, load, eff_vdd, iso_ok in terminals:
             receiver = islands[load.island]
             if receiver.name == driver.island:
                 continue
+            group = groups.setdefault((splice, driver.island), {})
             needs_shift = eff_vdd < receiver.vdd or (assume_transmission_gates and eff_vdd > receiver.vdd)
             if needs_shift:
-                key = (net.name, receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER)
-                if key not in seen:
-                    seen.add(key)
-                    issues.append(CrossingIssue(
-                        net.name, driver.island, receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER,
-                        f"signal swings {eff_vdd:g} V into island '{receiver.name}' at {receiver.vdd:g} V"
-                        " with no level shifter on the path",
-                    ))
+                group.setdefault((receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER), CrossingIssue(
+                    splice, driver.island, receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER,
+                    f"signal swings {eff_vdd:g} V into island '{receiver.name}' at {receiver.vdd:g} V"
+                    " with no level shifter on the path",
+                ))
             if driver_island.switchable and not iso_ok:
-                key = (net.name, receiver.name, IssueKind.NEEDS_ISOLATION)
-                if key not in seen:
-                    seen.add(key)
-                    issues.append(CrossingIssue(
-                        net.name, driver.island, receiver.name, IssueKind.NEEDS_ISOLATION,
-                        f"net leaves switchable island '{driver.island}' toward '{receiver.name}'"
-                        " with no isolation cell on the path",
-                    ))
-    return issues
+                group.setdefault((receiver.name, IssueKind.NEEDS_ISOLATION), CrossingIssue(
+                    splice, driver.island, receiver.name, IssueKind.NEEDS_ISOLATION,
+                    f"net leaves switchable island '{driver.island}' toward '{receiver.name}'"
+                    " with no isolation cell on the path",
+                ))
+    return [issue for group in groups.values() for issue in group.values()]
 
 
 def reference_dynamic_w(design: Design, activity: ActivityProfile, params: DynamicPowerParams) -> list[float]:

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_design
+from conftest import THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
+from helpers import random_design, random_fixed_design
 from pwr.crossings import (
     IssueKind,
     analyze_crossings,
@@ -12,7 +14,7 @@ from pwr.crossings import (
     insert_sleep_pins,
     verify_power_intent,
 )
-from pwr.netlist import CellKind, parse_design, serialize_design, validate_design
+from pwr.netlist import CellKind, Endpoint, Net, parse_design, serialize_design, validate_design
 
 
 def test_three_island_soc_needs_exactly_one_shifter(soc3):
@@ -90,6 +92,13 @@ def test_apply_fixes_unknown_net(soc3):
         apply_power_fixes(soc3, bad)
 
 
+def test_apply_fixes_rejects_an_issue_with_no_receiver_on_its_net(soc3):
+    # analyze_crossings never gives this: cpu2usb has no load in island mem
+    [issue] = analyze_crossings(soc3)
+    with pytest.raises(ValueError, match="no direct loads in island 'mem'"):
+        apply_power_fixes(soc3, [replace(issue, receiver_island="mem")])
+
+
 def test_fixed_design_roundtrips(soc3):
     fixed = apply_power_fixes(soc3, analyze_crossings(soc3))
     netlist_text, intent_text = serialize_design(fixed)
@@ -100,7 +109,7 @@ def test_fixed_design_roundtrips(soc3):
 
 
 def test_insert_sleep_pins_counts(gated_soc):
-    pinned = insert_sleep_pins(gated_soc, "logic")
+    pinned = insert_sleep_pins(gated_soc)
     slpb = pinned.nets_by_name()["slpb_logic"]
     assert len(slpb.loads) == 5
     assert slpb.driver.cell == "pim0"  # manager cell drives the sleep net
@@ -110,8 +119,8 @@ def test_insert_sleep_pins_counts(gated_soc):
 
 
 def test_insert_sleep_pins_idempotent(gated_soc):
-    once = insert_sleep_pins(gated_soc, "logic")
-    twice = insert_sleep_pins(once, "logic")
+    once = insert_sleep_pins(gated_soc)
+    twice = insert_sleep_pins(once)
     assert once == twice
 
 
@@ -121,29 +130,43 @@ def test_insert_sleep_pins_without_manager(soc3):
         "cell a kind=std island=x\ncell b kind=std island=x\nnet n driver=a.z loads=b.a\n",
         "island x vdd=1.0 switchable=1\n",
     )
-    pinned = insert_sleep_pins(design, "x")
+    pinned = insert_sleep_pins(design)
     assert pinned.ports_by_name()["slpb_x"].direction == "in"
     assert pinned.nets_by_name()["slpb_x"].driver.cell == "slpb_x"
-    assert insert_sleep_pins(pinned, "x") == pinned
+    assert insert_sleep_pins(pinned) == pinned
 
 
-def test_insert_sleep_pins_errors(soc3):
-    with pytest.raises(ValueError, match="island not switchable"):
-        insert_sleep_pins(soc3, "usb")
-    with pytest.raises(ValueError, match="island unknown"):
-        insert_sleep_pins(soc3, "nope")
+def test_insert_sleep_pins_extends_an_existing_sleep_net():
+    # a.slpb is already wired but not flagged; b is neither
+    design = parse_design(
+        "port slpb_x dir=in vdd=1.0\ncell a kind=std island=x\ncell b kind=std island=x\n"
+        "net slpb_x driver=slpb_x.p loads=a.slpb\nnet n driver=a.z loads=b.a\n",
+        "island x vdd=1.0 switchable=1\n",
+    )
+    pinned = insert_sleep_pins(design)
+    assert pinned.nets_by_name()["slpb_x"].loads == (Endpoint("a", "slpb"), Endpoint("b", "slpb"))
+    assert pinned.ports == design.ports and len(pinned.nets) == 2
+    assert all(c.has_sleep_pin for c in pinned.cells)
+    # with nothing left to hook, the wired cell still gets its flag
+    only_a = replace(design, cells=design.cells[:1], nets=design.nets[:1])
+    assert insert_sleep_pins(only_a).cells == (replace(design.cells[0], has_sleep_pin=True),)
 
 
-def test_insert_sleep_pins_touches_only_named_island(gated_soc):
-    pinned = insert_sleep_pins(gated_soc, "logic")
+def test_insert_sleep_pins_touches_only_switchable_islands(gated_soc):
+    pinned = insert_sleep_pins(gated_soc)
+    switchable = {i.name for i in gated_soc.islands if i.switchable}
+    assert switchable == {"logic"}
     for before, after in zip(gated_soc.cells, pinned.cells):
-        if before.island != "logic":
+        if before.island not in switchable:
             assert before == after
+    always_on = replace(gated_soc, islands=tuple(replace(i, switchable=False, retention=False)
+                                                 for i in gated_soc.islands))
+    assert insert_sleep_pins(always_on) is always_on
 
 
 def test_sleep_pins_skip_fix_and_manager_cells(gated_soc):
     fixed = apply_power_fixes(gated_soc, analyze_crossings(gated_soc))
-    pinned = insert_sleep_pins(fixed, "logic")
+    pinned = insert_sleep_pins(fixed)
     for cell in pinned.cells:
         if cell.kind in (CellKind.ISO, CellKind.LEVEL_SHIFTER, CellKind.PIM):
             assert not cell.has_sleep_pin
@@ -151,12 +174,134 @@ def test_sleep_pins_skip_fix_and_manager_cells(gated_soc):
     assert len(pinned.nets_by_name()["slpb_logic"].loads) == 5
 
 
+# -- fix: sleep pins, then crossings ------------------------------------------
+
+
+def _fix(design):
+    pinned = insert_sleep_pins(design)
+    return apply_power_fixes(pinned, analyze_crossings(pinned))
+
+
+def test_existing_shifter_in_an_intermediate_island():
+    # a(0.8 V) -> shifter in c(1.0 V) -> b(1.2 V): the shifter's output still under-drives b
+    design = parse_design(
+        "cell x kind=std island=a\ncell ls0 kind=levelshifter island=c\ncell y kind=std island=b\n"
+        "net n1 driver=x.z loads=ls0.a\nnet n2 driver=ls0.z loads=y.a\n",
+        "island a vdd=0.8\nisland c vdd=1.0\nisland b vdd=1.2\n",
+    )
+    [issue] = analyze_crossings(design)
+    assert (issue.net, issue.driver_island, issue.receiver_island) == ("n2", "a", "b")
+    assert "swings 1 V into island 'b' at 1.2 V" in issue.rationale
+    fixed = _fix(design)
+    assert fixed.nets_by_name()["n2"].loads == (Endpoint("ls_n2", "a"),)
+    assert verify_power_intent(fixed) == []
+    assert _fix(fixed) == fixed
+
+
+def test_existing_iso_cell_inside_the_switchable_driver_island():
+    design = parse_design(
+        "cell x kind=std island=a\ncell iso0 kind=iso island=a\ncell y kind=std island=b\n"
+        "net n1 driver=x.z loads=iso0.a\nnet n2 driver=iso0.z loads=y.a\n",
+        "island a vdd=1.0 switchable=1\nisland b vdd=1.0\n",
+    )
+    [issue] = analyze_crossings(design)
+    assert (issue.net, issue.kind) == ("n2", IssueKind.NEEDS_ISOLATION)
+    fixed = _fix(design)
+    assert fixed.cells_by_name()["iso_n2"].island == "b"
+    assert verify_power_intent(fixed) == []
+    assert _fix(fixed) == fixed
+
+
+@pytest.mark.parametrize(
+    "extra, cell, net",
+    [
+        ("cell ls_cpu2usb kind=std island=usb\n", "ls_cpu2usb_1", "ls_cpu2usb_1_out"),
+        ("net ls_cpu2usb_out driver=usb0.y loads=usb0.c\n", "ls_cpu2usb", "ls_cpu2usb_out_1"),
+        # cells and ports share the endpoint namespace
+        ("port ls_cpu2usb dir=in vdd=1.2\n", "ls_cpu2usb_1", "ls_cpu2usb_1_out"),
+    ],
+    ids=["cell", "net", "port"],
+)
+def test_generated_names_step_past_user_names(extra, cell, net):
+    design = parse_design(THREE_ISLAND_NETLIST + extra, THREE_ISLAND_INTENT)
+    fixed = _fix(design)
+    assert fixed.nets_by_name()["cpu2usb"].loads == (Endpoint(cell, "a"),)
+    assert fixed.nets_by_name()[net] == Net(net, Endpoint(cell, "z"), (Endpoint("usb0", "a"),))
+    assert verify_power_intent(fixed) == []
+    assert validate_design(fixed) == []
+    assert _fix(fixed) == fixed
+
+
+def test_second_pin_pass_leaves_a_shifted_sleep_net_alone(gated_soc):
+    # the manager at 0.8 V: slpb_logic needs a shifter, which then drives the pins
+    low = gated_soc.with_supplies({"cpu": 0.8})
+    fixed = _fix(low)
+    assert [c.name for c in fixed.cells if c.kind is CellKind.LEVEL_SHIFTER] == ["ls_m2l", "ls_c2l", "ls_slpb_logic"]
+    assert fixed.nets_by_name()["slpb_logic"].loads == (Endpoint("ls_slpb_logic", "a"),)
+    assert insert_sleep_pins(fixed) is fixed
+    assert verify_power_intent(fixed) == []
+
+
+def test_fix_hooks_a_flagged_cell_that_no_sleep_net_reaches():
+    # sleep=1 alone wires nothing: the pin step still hooks block.slpb
+    design = parse_design(
+        "cell block kind=std island=logic sleep=1\ncell pim0 kind=pim island=aon\n"
+        "net n driver=pim0.z loads=block.a\n",
+        "island aon vdd=1.2\nisland logic vdd=1.2 switchable=1\n",
+    )
+    fixed = _fix(design)
+    slpb = Net("slpb_logic", Endpoint("pim0", "slpb_logic"), (Endpoint("block", "slpb"),))
+    assert fixed.nets_by_name()["slpb_logic"] == slpb
+    assert verify_power_intent(fixed) == []
+    assert _fix(fixed) == fixed
+
+
+def test_a_net_two_walks_reach_is_reported_once_per_driver_island():
+    # n1 and n2 both feed ls0 from island a, so two walks reach n3
+    design = parse_design(
+        "cell x1 kind=std island=a\ncell x2 kind=std island=a\ncell ls0 kind=levelshifter island=a\n"
+        "cell y kind=std island=b\nnet n1 driver=x1.z loads=ls0.a\nnet n2 driver=x2.z loads=ls0.b\n"
+        "net n3 driver=ls0.z loads=y.a\n",
+        "island a vdd=1.0 switchable=1\nisland b vdd=1.0\n",
+    )
+    [issue] = analyze_crossings(design)
+    assert (issue.net, issue.driver_island, issue.kind) == ("n3", "a", IssueKind.NEEDS_ISOLATION)
+
+
+def test_a_shifter_fed_from_two_islands_gets_one_issue_per_island_and_one_cell():
+    design = parse_design(
+        "cell x1 kind=std island=a\ncell x2 kind=std island=c\ncell ls0 kind=levelshifter island=b\n"
+        "cell y kind=std island=b\nnet n1 driver=x1.z loads=ls0.a\nnet n2 driver=x2.z loads=ls0.b\n"
+        "net n3 driver=ls0.z loads=y.a\n",
+        "island a vdd=1.0 switchable=1\nisland c vdd=1.0 switchable=1\nisland b vdd=1.0\n",
+    )
+    issues = analyze_crossings(design)
+    assert [(i.net, i.driver_island, i.kind) for i in issues] == [
+        ("n3", "a", IssueKind.NEEDS_ISOLATION), ("n3", "c", IssueKind.NEEDS_ISOLATION),
+    ]
+    fixed = apply_power_fixes(design, issues)
+    assert [c.name for c in fixed.cells if c.kind is CellKind.ISO] == ["iso_n3"]
+
+
+def test_a_fix_driven_chain_is_walked_from_its_first_fix_cell():
+    # n2 comes first in net order, but the walk from n1 (ls1 at 0.8 V) reaches it
+    design = parse_design(
+        "port p dir=in vdd=0.8\ncell ls1 kind=levelshifter island=c\ncell ls2 kind=levelshifter island=d\n"
+        "cell y kind=std island=b\nnet n2 driver=ls2.z loads=y.a\nnet n1 driver=ls1.z loads=ls2.a\n"
+        "net n0 driver=p.p loads=ls1.a\n",
+        "island c vdd=0.8\nisland d vdd=1.0\nisland b vdd=1.2\n",
+    )
+    [issue] = analyze_crossings(design)
+    assert (issue.net, issue.driver_island, issue.receiver_island) == ("n2", "c", "b")
+    assert _fix(_fix(design)) == _fix(design)
+
+
 # -- verify -------------------------------------------------------------------
 
 
 def test_verify_clean_after_full_fix(gated_soc):
     fixed = apply_power_fixes(gated_soc, analyze_crossings(gated_soc))
-    fixed = insert_sleep_pins(fixed, "logic")
+    fixed = insert_sleep_pins(fixed)
     assert verify_power_intent(fixed) == []
 
 
@@ -171,10 +316,8 @@ def test_verify_counts_both_violation_families(gated_soc):
 
 def test_verify_flags_single_missing_pin(gated_soc):
     fixed = apply_power_fixes(gated_soc, analyze_crossings(gated_soc))
-    fixed = insert_sleep_pins(fixed, "logic")
+    fixed = insert_sleep_pins(fixed)
     # strip one sleep pin back off
-    from dataclasses import replace
-
     cells = tuple(
         replace(c, has_sleep_pin=False) if c.name == "logic2" else c for c in fixed.cells
     )
@@ -195,6 +338,15 @@ def test_fix_then_check_is_sound(seed):
     assert analyze_crossings(fixed) == []
     assert validate_design(fixed) == []
     assert len(fixed.cells) == len(design.cells) + len(issues)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_fix_output_passes_check_and_is_a_fixed_point(seed):
+    fixed = _fix(random_fixed_design(random.Random(seed)))
+    assert verify_power_intent(fixed) == []
+    assert _fix(fixed) == fixed
+    assert parse_design(*serialize_design(fixed)) == fixed
 
 
 @settings(max_examples=150, deadline=None)

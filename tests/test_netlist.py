@@ -108,11 +108,15 @@ _CELL = "cell a kind=std island=x\n"
         (_CELL + "net n driver=ghost.z loads=a.b\n", _INTENT, "netlist", 2),
         (_CELL + "net n driver=a.z loads=a.b,ghost.c\n", _INTENT, "netlist", 2),
         (_CELL + "net n driver=a.z\n", _INTENT, "netlist", 2),
+        (_CELL + "port p dir=sideways vdd=1.2\n", _INTENT, "netlist", 2),
+        (_CELL + "port p dir=out vdd=1.2\nnet n driver=p.p loads=a.b\n", _INTENT, "netlist", 3),
+        (_CELL + "port p dir=in vdd=1.2\nnet n driver=a.z loads=a.b,p.p\n", _INTENT, "netlist", 3),
     ],
     ids=[
         "duplicate-island", "island-vdd", "retention", "duplicate-cell", "unknown-island", "cap_ff",
         "gates", "second-pim", "duplicate-port", "port-vdd-negative", "port-vdd-zero", "duplicate-net",
-        "unresolved-driver", "unresolved-load", "no-loads",
+        "unresolved-driver", "unresolved-load", "no-loads", "port-direction", "out-port-driver",
+        "in-port-load",
     ],
 )
 def test_each_invariant_fails_parse_at_its_line_with_the_validate_rule(netlist, intent, source, line_no, monkeypatch):
@@ -156,6 +160,7 @@ _DEFECTS = {
     "second-pim": lambda d, r: replace(d, cells=d.cells + (CellInstance("pim1", CellKind.PIM, d.islands[0].name),)),
     "duplicate-port": lambda d, r: replace(d, ports=d.ports + (r.choice(d.ports),)),
     "port-vdd": lambda d, r: _change_one(d, "ports", r, vdd=r.choice((0.0, -1.2))),
+    "port-direction": lambda d, r: _change_one(d, "ports", r, direction=r.choice(("sideways", "inout"))),
     "duplicate-net": lambda d, r: replace(d, nets=d.nets + (r.choice(d.nets),)),
     "unresolved-driver": lambda d, r: _change_one(d, "nets", r, driver=Endpoint("ghost", "z")),
     "unresolved-load": lambda d, r: _change_one(d, "nets", r, loads=(Endpoint("ghost", "a"),)),

@@ -282,6 +282,12 @@ def test_calibration_unknown_key():
         calibrated_reduction_factor("sram", 25, "silicon")
 
 
+def test_calibration_temperature_matches_exactly():
+    assert calibrated_reduction_factor("nand2", 25.0, "silicon") == 78.6
+    with pytest.raises(ValueError, match="no calibration entry"):
+        calibrated_reduction_factor("nand2", 25.9, "silicon")
+
+
 def test_calibration_sram_application():
     reduced = 719e-6 / calibrated_reduction_factor("sram", 125, "silicon")
     assert reduced == pytest.approx(71.5e-6, rel=0.01)

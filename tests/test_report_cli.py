@@ -149,7 +149,7 @@ def test_fix_gated_soc_passes_check(workspace, capsys):
         "fix", "--netlist", workspace["gated_netlist"], "--intent", workspace["gated_intent"],
         "--out", out_path,
     ]) == 0
-    assert "4 crossing fixes, 5 sleep pins" in capsys.readouterr().out
+    assert "4 crossing fixes, 5 sleep pins added, 0 sleep-net fixes" in capsys.readouterr().out
     assert run_cli(["check", "--netlist", out_path, "--intent", workspace["gated_intent"]]) == 0
 
 
@@ -289,6 +289,37 @@ def test_fix_is_idempotent_on_its_own_output(workspace, capsys):
     run_cli(["fix", "--netlist", str(first), "--intent", workspace["intent"], "--out", str(second)])
     assert "0 crossing fixes" in capsys.readouterr().out
     assert first.read_text() == second.read_text()
+
+
+def test_fix_shifts_a_sleep_net_from_a_lower_supply_manager(tmp_path, capsys):
+    """The manager at 0.8 V drives the sleep pins of a 1.2 V switchable island."""
+    netlist, intent = tmp_path / "soc.net", tmp_path / "soc.intent"
+    netlist.write_text(
+        "cell pim0 kind=pim island=aon\ncell l0 kind=std island=l\ncell l1 kind=std island=l\n"
+        "net n driver=l0.z loads=l1.a\n"
+    )
+    intent.write_text("island aon vdd=0.8\nisland l vdd=1.2 switchable=1\n")
+    first, second = tmp_path / "fixed1.net", tmp_path / "fixed2.net"
+    assert run_cli(["fix", "--netlist", str(netlist), "--intent", str(intent), "--out", str(first)]) == 0
+    assert capsys.readouterr().out == f"wrote {first}: 0 crossing fixes, 2 sleep pins added, 1 sleep-net fixes\n"
+    assert "cell ls_slpb_l kind=levelshifter island=l" in first.read_text()
+    assert run_cli(["check", "--netlist", str(first), "--intent", str(intent)]) == 0
+    assert run_cli(["fix", "--netlist", str(first), "--intent", str(intent), "--out", str(second)]) == 0
+    assert "0 crossing fixes, 0 sleep pins added, 0 sleep-net fixes" in capsys.readouterr().out
+    assert second.read_text() == first.read_text()
+
+
+def test_fix_counts_the_pin_of_a_flagged_cell_it_hooks(tmp_path, capsys):
+    netlist, intent = tmp_path / "soc.net", tmp_path / "soc.intent"
+    netlist.write_text(
+        "cell block kind=std island=logic sleep=1\ncell pim0 kind=pim island=aon\n"
+        "net n driver=pim0.z loads=block.a\n"
+    )
+    intent.write_text("island aon vdd=1.2\nisland logic vdd=1.2 switchable=1\n")
+    out = tmp_path / "fixed.net"
+    assert run_cli(["fix", "--netlist", str(netlist), "--intent", str(intent), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}: 0 crossing fixes, 1 sleep pins added, 0 sleep-net fixes\n"
+    assert "net slpb_logic driver=pim0.slpb_logic loads=block.slpb" in out.read_text()
 
 
 def test_subcommands_are_idempotent(workspace, capsys):
