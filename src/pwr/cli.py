@@ -117,8 +117,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_fix(args: argparse.Namespace) -> int:
     design = _load_design(args)
     pinned = insert_sleep_pins(design)
-    pins = sum(ep.pin == "slpb" for net in pinned.nets for ep in net.loads)
-    pins -= sum(ep.pin == "slpb" for net in design.nets for ep in net.loads)
+    pins = sum(pin == "slpb" for net in pinned.nets for _, pin in net.raw_loads)
+    pins -= sum(pin == "slpb" for net in design.nets for _, pin in net.raw_loads)
     pin_nets = {n.name for n in pinned.nets} - set(design.nets_by_name())
     del design
     issues = analyze_crossings(pinned)

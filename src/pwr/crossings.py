@@ -25,7 +25,6 @@ from .netlist import (
     CellInstance,
     CellKind,
     Design,
-    Endpoint,
     Net,
     Port,
 )
@@ -46,13 +45,26 @@ class IssueKind(str, Enum):
     NEEDS_ISOLATION = "needs_isolation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingIssue:
     net: str
     driver_island: str
     receiver_island: str
     kind: IssueKind
-    rationale: str
+    swing_v: float  # supply of the swing arriving at the receivers
+    receiver_v: float
+
+    @property
+    def rationale(self) -> str:
+        if self.kind is IssueKind.NEEDS_LEVEL_SHIFTER:
+            return (
+                f"signal swings {self.swing_v:g} V into island '{self.receiver_island}'"
+                f" at {self.receiver_v:g} V with no level shifter on the path"
+            )
+        return (
+            f"net leaves switchable island '{self.driver_island}' toward '{self.receiver_island}'"
+            " with no isolation cell on the path"
+        )
 
 
 @dataclass(frozen=True)
@@ -86,16 +98,12 @@ def analyze_crossings(design: Design, assume_transmission_gates: bool = False) -
             if needs_shift and (receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER) not in seen:
                 seen.add((receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER))
                 issues.append(CrossingIssue(
-                    net, driver_name, receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER,
-                    f"signal swings {eff_vdd:g} V into island '{receiver_name}' at {receiver.vdd:g} V"
-                    " with no level shifter on the path",
+                    net, driver_name, receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER, eff_vdd, receiver.vdd,
                 ))
             if driver_island.switchable and not isolated and (receiver_name, IssueKind.NEEDS_ISOLATION) not in seen:
                 seen.add((receiver_name, IssueKind.NEEDS_ISOLATION))
                 issues.append(CrossingIssue(
-                    net, driver_name, receiver_name, IssueKind.NEEDS_ISOLATION,
-                    f"net leaves switchable island '{driver_name}' toward '{receiver_name}'"
-                    " with no isolation cell on the path",
+                    net, driver_name, receiver_name, IssueKind.NEEDS_ISOLATION, eff_vdd, receiver.vdd,
                 ))
     return issues
 
@@ -145,10 +153,10 @@ def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
 
     for (net_name, receiver), kinds in groups.items():
         net = patched.get(net_name, nets_by_name[net_name])
-        receiver_loads: list[Endpoint] = []
-        other_loads: list[Endpoint] = []
-        for ep in net.loads:
-            cell = cells.get(ep.cell)
+        receiver_loads: list[tuple[str, str]] = []
+        other_loads: list[tuple[str, str]] = []
+        for ep in net.raw_loads:
+            cell = cells.get(ep[0])
             (receiver_loads if cell is not None and cell.island == receiver else other_loads).append(ep)
         if not receiver_loads:  # stale issues: analyze_crossings never gives these
             raise ValueError(f"net '{net_name}' has no direct loads in island '{receiver}'")
@@ -165,11 +173,12 @@ def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
             chain.append(CellInstance(_unique(name, taken_cell_names), cell_kind, receiver))
         new_cells.extend(chain)
 
-        patched[net_name] = replace(net, loads=tuple(other_loads) + (Endpoint(chain[0].name, "a"),))
+        other_loads.append((chain[0].name, "a"))
+        patched[net_name] = Net(net_name, net.raw_driver, other_loads)
         for i, fix_cell in enumerate(chain):
-            loads = (Endpoint(chain[i + 1].name, "a"),) if i + 1 < len(chain) else tuple(receiver_loads)
+            loads = ((chain[i + 1].name, "a"),) if i + 1 < len(chain) else receiver_loads
             out_name = _unique(f"{fix_cell.name}_out", taken_net_names)
-            added_nets.append(Net(out_name, Endpoint(fix_cell.name, "z"), loads))
+            added_nets.append(Net(out_name, (fix_cell.name, "z"), loads))
 
     nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(added_nets)
     return replace(design, cells=design.cells + tuple(new_cells), nets=nets)
@@ -179,21 +188,22 @@ def insert_sleep_pins(design: Design) -> Design:
     """Hook every sleepable cell of every switchable island to its SLPB net.
 
     The net ``slpb_<island>`` is driven by the design's power-island manager
-    cell when present, otherwise by a new top-level input port at the
-    island's supply; new nets and ports are added in island order.  Shifter,
+    cell when present, otherwise by the input port of that name or else a
+    new one at the island's supply (suffixed ``_<n>`` if a cell or port
+    holds the name); new nets and ports are added in island order.  Shifter,
     iso, and manager cells never take sleep pins.  A cell whose ``slpb`` pin
     is already a load of some net (say, of a spliced sleep-net shifter) only
     gets its flag set.  Idempotent.
     """
-    hooked: dict[str, list[Endpoint]] = {i.name: [] for i in design.islands if i.switchable}
-    wired = {ep.cell for net in design.nets for ep in net.loads if ep.pin == "slpb"}
+    hooked: dict[str, list[tuple[str, str]]] = {i.name: [] for i in design.islands if i.switchable}
+    wired = _sleep_wired(design)
     cells = list(design.cells)
     for at, cell in enumerate(cells):
         if cell.island in hooked and cell.kind in SLEEPABLE_KINDS:
             if cell.name not in wired:
-                hooked[cell.island].append(Endpoint(cell.name, "slpb"))
+                hooked[cell.island].append((cell.name, "slpb"))
             if not cell.has_sleep_pin:
-                cells[at] = replace(cell, has_sleep_pin=True)
+                cells[at] = CellInstance(cell.name, cell.kind, cell.island, cell.cap_ff, cell.gate_count, True)
     pending = {f"slpb_{island}": (island, loads) for island, loads in hooked.items() if loads}
     if not pending and tuple(cells) == design.cells:
         return design
@@ -201,28 +211,46 @@ def insert_sleep_pins(design: Design) -> Design:
     nets = list(design.nets)
     for at, net in enumerate(nets):
         if net.name in pending:
-            nets[at] = replace(net, loads=net.loads + tuple(pending.pop(net.name)[1]))
+            nets[at] = Net(net.name, net.raw_driver, net.raw_loads + tuple(pending.pop(net.name)[1]))
     ports = list(design.ports)
     pim = design.pim_cell()
+    taken = set(design.cells_by_name()) | set(design.ports_by_name())
     for net_name, (island, loads) in pending.items():
-        if pim is None and net_name not in design.ports_by_name():
-            ports.append(Port(net_name, "in", design.islands_by_name()[island].vdd))
-        driver = Endpoint(net_name, "p") if pim is None else Endpoint(pim.name, net_name)
-        nets.append(Net(net_name, driver, tuple(loads)))
+        if pim is not None:
+            driver = (pim.name, net_name)
+        else:
+            port = design.ports_by_name().get(net_name)
+            if port is None or port.direction != "in":
+                port = Port(_unique(net_name, taken), "in", design.islands_by_name()[island].vdd)
+                ports.append(port)
+            driver = (port.name, "p")
+        nets.append(Net(net_name, driver, loads))
     return replace(design, cells=tuple(cells), nets=tuple(nets), ports=tuple(ports))
 
 
+def _sleep_wired(design: Design) -> set[str]:
+    """Names of the cells whose ``slpb`` pin is a load of some net."""
+    return {cell for net in design.nets for cell, pin in net.raw_loads if pin == "slpb"}
+
+
 def verify_power_intent(design: Design) -> list[Violation]:
-    """Regression gate: no open crossings, no sleep-pin-less cells in
-    switchable islands (reported in island order, then cell order)."""
+    """Regression gate: no open crossings, and every sleepable cell of a
+    switchable island has a sleep pin that some net drives (reported in
+    island order, then cell order)."""
     violations = [
         Violation("crossing", issue.net, f"{issue.kind.value}: {issue.rationale}")
         for issue in analyze_crossings(design)
     ]
     order = {i.name: at for at, i in enumerate(design.islands) if i.switchable}
-    unpinned = [c for c in design.cells if c.island in order and c.kind in SLEEPABLE_KINDS and not c.has_sleep_pin]
+    wired = _sleep_wired(design)
+    unpinned = [
+        c for c in design.cells
+        if c.island in order and c.kind in SLEEPABLE_KINDS and not (c.has_sleep_pin and c.name in wired)
+    ]
     unpinned.sort(key=lambda c: order[c.island])  # stable: cell order within an island
     return violations + [
-        Violation("missing_sleep_pin", c.name, f"cell in switchable island '{c.island}' has no sleep pin")
+        Violation("missing_sleep_pin", c.name, f"cell in switchable island '{c.island}' has " + (
+            "a sleep pin no net drives" if c.has_sleep_pin else "no sleep pin"
+        ))
         for c in unpinned
     ]

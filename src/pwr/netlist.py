@@ -18,6 +18,15 @@ as ``validate_design`` and reports the first fault at its line.
 Every parsed value is immutable after construction, so designs and profiles
 can be shared freely across threads.
 
+The records are kept cheap for the garbage collector.  ``Island``,
+``CellInstance`` and ``Port`` have slots, and a ``Net`` stores its driver and
+loads as exact ``(cell, pin)`` str tuples in ``raw_driver`` and ``raw_loads``,
+which CPython stops tracking after their first collection (an ``Endpoint``,
+being a tuple subclass, is tracked for life).  ``Net.driver`` and
+``Net.loads`` stay the public fields: they accept ``Endpoint`` values or
+plain pairs and return ``Endpoint`` views built on each read.  The stages
+read the raw tuples.
+
 A ``Design`` also carries a topology index (name maps, gate sums per
 island, dynamic-power terms and the crossing walk), built member by member
 on first use and then kept.  Each cached member is a pure function of the
@@ -33,6 +42,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -77,6 +87,8 @@ class CellKind(str, Enum):
     PIM = "pim"
 
 
+_KIND_BY_VALUE = {kind.value: kind for kind in CellKind}
+
 # Kinds spliced in by the crossing fixer; they relay signals between domains.
 FIX_KINDS = frozenset((CellKind.LEVEL_SHIFTER, CellKind.ISO))
 # Kinds that carry a sleep transistor and therefore take an SLPB pin.
@@ -96,7 +108,7 @@ class Endpoint(NamedTuple):
         return f"{self.cell}.{self.pin}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Island:
     """A supply region. ``switchable`` islands can be powered down."""
 
@@ -106,7 +118,7 @@ class Island:
     retention: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellInstance:
     name: str
     kind: CellKind
@@ -116,14 +128,38 @@ class CellInstance:
     has_sleep_pin: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Net:
+    """A named wire from one driver endpoint to its load endpoints.
+
+    ``driver`` and ``loads`` are views: the endpoints are stored as exact
+    ``(cell, pin)`` tuples in ``raw_driver`` and ``raw_loads``.
+    """
+
+    __slots__ = ("name", "raw_driver", "raw_loads")
+
     name: str
     driver: Endpoint
     loads: tuple[Endpoint, ...] = ()
 
+    def __init__(self, name: str, driver: tuple[str, str], loads: Iterable[tuple[str, str]] = ()) -> None:
+        cell, pin = driver
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "raw_driver", (cell, pin))
+        # tuple() hands back an exact tuple as is and copies an Endpoint
+        object.__setattr__(self, "raw_loads", tuple(map(tuple, loads)))
 
-@dataclass(frozen=True)
+    def __reduce__(self) -> tuple:
+        # pickle would restore slots by setattr, which a frozen class refuses
+        return Net, (self.name, self.raw_driver, self.raw_loads)
+
+
+# set after @dataclass, which would otherwise take a property for a default
+Net.driver = property(lambda net: Endpoint._make(net.raw_driver))  # type: ignore[assignment]
+Net.loads = property(lambda net: tuple(map(Endpoint._make, net.raw_loads)))  # type: ignore[assignment]
+
+
+@dataclass(frozen=True, slots=True)
 class Port:
     name: str
     direction: str  # "in" | "out"
@@ -180,7 +216,7 @@ class Topology:
         cells = self._cell_map
         out: dict[str, list[tuple[float, str]]] = {}
         for net in self._nets:
-            driver = cells.get(net.driver.cell)
+            driver = cells.get(net.raw_driver[0])
             if driver is not None:
                 out.setdefault(driver.island, []).append((driver.cap_ff, net.name))
         return MappingProxyType({island: tuple(terms) for island, terms in out.items()})
@@ -193,44 +229,53 @@ class Topology:
         A walk starts at every net driven by a cell that is not a shifter or
         iso cell, in net order.  Then each fix-driven net no walk has reached
         starts its own: first those whose fix cell is no load of a fix-driven
-        net, then the rest, each in net order.  A shifter re-drives at its own
-        island's supply; an iso cell isolates only outside the driving island.
-        Port loads are skipped.  Each net a walk reaches files, in walk order,
-        the distinct terminals outside the driver's island among its own
-        direct loads (that net is where a fix must splice), if any, once per
-        driver island: later walks from that island add theirs to its entry.
+        net, then the rest, each in net order (sorted only once the
+        real-driver walks are done, and only over the nets they missed).  A
+        shifter re-drives at its own island's supply; an iso cell isolates
+        only outside the driving island.  Port loads are skipped.  Each net a
+        walk reaches files, in walk order, the distinct terminals outside the
+        driver's island among its own direct loads (that net is where a fix
+        must splice), if any, once per driver island: later walks from that
+        island add theirs to its entry.
         """
         cells = self._cell_map
         # the walk only continues through fix cells, so only their nets matter
         relayed: dict[str, list[Net]] = {}
         starts: list[Net] = []
-        relay_starts: list[Net] = []
+        relays: list[Net] = []
         for net in self._nets:
-            driver = cells.get(net.driver.cell)
+            driver = cells.get(net.raw_driver[0])
             if driver is not None and driver.kind in FIX_KINDS:
                 relayed.setdefault(driver.name, []).append(net)
-                relay_starts.append(net)
+                relays.append(net)
             elif driver is not None:
                 starts.append(net)
-        # relay starts whose fix cell hangs on no fix-driven net go first
-        fed = {ep.cell for nets in relayed.values() for net in nets for ep in net.loads}
-        relay_starts.sort(key=lambda net: net.driver.cell in fed)
+
+        def relay_starts() -> Iterator[Net]:
+            # A walk that reaches a fix-driven net reaches every net of each
+            # fix cell on it, so the missed nets' own loads decide which fix
+            # cells are fed; those that are not go first.
+            missed = [net for net in relays if net.name not in reached]
+            fed = {cell for net in missed for cell, _ in net.raw_loads}
+            missed.sort(key=lambda net: net.raw_driver[0] in fed)
+            yield from missed
+
         # identical terminals and terminal sets are shared between nets
         shared: dict[tuple, tuple] = {}
         walks: list[CrossingWalk] = []
         reached: set[str] = set()
         # where each fix-driven net was filed, per walk driver island
         filed: dict[tuple[str, str], int] = {}
-        for net in starts + relay_starts:
+        for net in chain(starts, relay_starts()):
             if net.name in reached:
                 continue
-            home = cells[net.driver.cell].island
+            home = cells[net.raw_driver[0]].island
             frontier = [(net, home, False)]
             visited = {net.name}
             for current, swing, isolated in frontier:  # grows while iterated: BFS order
                 terminals: list[Terminal] = []
-                for ep in current.loads:
-                    load = cells.get(ep.cell)
+                for cell, _ in current.raw_loads:
+                    load = cells.get(cell)
                     if load is None:
                         continue
                     if load.kind in FIX_KINDS:
@@ -248,7 +293,7 @@ class Topology:
                 if not terminals:
                     continue
                 at = len(walks)
-                if current.driver.cell in relayed:  # another walk may have filed it
+                if current.raw_driver[0] in relayed:  # another walk may have filed it
                     at = filed.setdefault((current.name, home), at)
                     if at < len(walks):  # merge, keeping the earlier walk's terminals first
                         terminals = [*walks[at][2], *(t for t in terminals if t not in walks[at][2])]
@@ -437,11 +482,11 @@ def _flag(source: str, line_no: int, key: str, value: str) -> bool:
     return value == "1"
 
 
-def _endpoint(source: str, line_no: int, value: str) -> Endpoint:
+def _endpoint(source: str, line_no: int, value: str) -> tuple[str, str]:
     cell, sep, pin = value.rpartition(".")
     if not sep or not cell or not pin:
         raise ParseError(source, line_no, f"bad endpoint '{value}' (want cell.pin)")
-    return Endpoint(cell, pin)
+    return cell, pin
 
 
 def _num(x: float) -> str:
@@ -483,10 +528,9 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
     ports: list[Port] = []
     for line_no, stmt, name, attrs in _statements("netlist", netlist_text, _NETLIST_GRAMMAR):
         if stmt == "cell":
-            try:
-                kind = CellKind(attrs["kind"])
-            except ValueError:
-                raise ParseError("netlist", line_no, f"unknown cell kind '{attrs['kind']}'") from None
+            kind = _KIND_BY_VALUE.get(attrs["kind"])
+            if kind is None:
+                raise ParseError("netlist", line_no, f"unknown cell kind '{attrs['kind']}'")
             cells.append(CellInstance(
                 name,
                 kind,
@@ -497,11 +541,7 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
             ))
         elif stmt == "net":
             driver = _endpoint("netlist", line_no, attrs["driver"])
-            loads = tuple(
-                _endpoint("netlist", line_no, item)
-                for item in attrs.get("loads", "").split(",")
-                if item
-            )
+            loads = [_endpoint("netlist", line_no, item) for item in attrs.get("loads", "").split(",") if item]
             nets.append(Net(name, driver, loads))
         else:
             ports.append(Port(name, attrs["dir"], _float("netlist", line_no, "vdd", attrs["vdd"])))
@@ -550,11 +590,13 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
                 yield "cell", i, "multiple pim cells"
             pim_seen = True
 
-    # an endpoint names a cell first, then a port, as the crossing walk reads it
+    # cells and ports share one endpoint namespace
     direction: dict[str, str] = {}
     for i, port in enumerate(design.ports):
         if port.name in direction:
             yield "port", i, "duplicate name"
+        elif port.name in cell_names:
+            yield "port", i, "name taken by a cell"
         direction.setdefault(port.name, port.direction)
         if port.direction not in ("in", "out"):
             yield "port", i, "direction must be in or out"
@@ -566,18 +608,19 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
         if net.name in net_names:
             yield "net", i, "duplicate name"
         net_names.add(net.name)
-        if net.driver.cell not in cell_names and net.driver.cell not in direction:
+        driver = net.raw_driver[0]
+        if driver not in cell_names and driver not in direction:
             yield "net", i, "unresolved driver"
-        elif net.driver.cell not in cell_names and direction[net.driver.cell] == "out":
-            yield "net", i, f"driver '{net.driver}' is an output port"
-        for ep in net.loads:
-            if ep.cell in cell_names:
+        elif driver not in cell_names and direction[driver] == "out":
+            yield "net", i, f"driver '{'.'.join(net.raw_driver)}' is an output port"
+        for ep in net.raw_loads:
+            if ep[0] in cell_names:
                 continue
-            if ep.cell not in direction:
-                yield "net", i, f"unresolved load '{ep}'"
-            elif direction[ep.cell] == "in":
-                yield "net", i, f"load '{ep}' is an input port"
-        if not net.loads and direction.get(net.name) != "out":
+            if ep[0] not in direction:
+                yield "net", i, f"unresolved load '{'.'.join(ep)}'"
+            elif direction[ep[0]] == "in":
+                yield "net", i, f"load '{'.'.join(ep)}' is an input port"
+        if not net.raw_loads and direction.get(net.name) != "out":
             yield "net", i, "no loads and not a top-level output"
 
 
@@ -609,9 +652,9 @@ def serialize_design(design: Design) -> tuple[str, str]:
             stmt += " sleep=1"
         lines.append(stmt)
     for n in design.nets:
-        stmt = f"net {n.name} driver={n.driver}"
-        if n.loads:
-            stmt += " loads=" + ",".join(str(ep) for ep in n.loads)
+        stmt = f"net {n.name} driver={'.'.join(n.raw_driver)}"
+        if n.raw_loads:
+            stmt += " loads=" + ",".join(map(".".join, n.raw_loads))
         lines.append(stmt)
     return "\n".join(lines) + "\n", "\n".join(intent) + "\n"
 

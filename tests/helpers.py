@@ -132,15 +132,11 @@ def reference_crossings(design: Design, assume_transmission_gates: bool = False)
             needs_shift = eff_vdd < receiver.vdd or (assume_transmission_gates and eff_vdd > receiver.vdd)
             if needs_shift:
                 group.setdefault((receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER), CrossingIssue(
-                    splice, driver.island, receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER,
-                    f"signal swings {eff_vdd:g} V into island '{receiver.name}' at {receiver.vdd:g} V"
-                    " with no level shifter on the path",
+                    splice, driver.island, receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER, eff_vdd, receiver.vdd,
                 ))
             if driver_island.switchable and not iso_ok:
                 group.setdefault((receiver.name, IssueKind.NEEDS_ISOLATION), CrossingIssue(
-                    splice, driver.island, receiver.name, IssueKind.NEEDS_ISOLATION,
-                    f"net leaves switchable island '{driver.island}' toward '{receiver.name}'"
-                    " with no isolation cell on the path",
+                    splice, driver.island, receiver.name, IssueKind.NEEDS_ISOLATION, eff_vdd, receiver.vdd,
                 ))
     return [issue for group in groups.values() for issue in group.values()]
 

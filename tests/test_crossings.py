@@ -87,7 +87,7 @@ def test_apply_fixes_gated_soc(gated_soc):
 
 def test_apply_fixes_unknown_net(soc3):
     issues = analyze_crossings(soc3)
-    bad = [type(issues[0])("ghost", "cpu", "usb", issues[0].kind, "")]
+    bad = [replace(issues[0], net="ghost")]
     with pytest.raises(ValueError, match="unknown net 'ghost'"):
         apply_power_fixes(soc3, bad)
 
@@ -133,6 +133,19 @@ def test_insert_sleep_pins_without_manager(soc3):
     pinned = insert_sleep_pins(design)
     assert pinned.ports_by_name()["slpb_x"].direction == "in"
     assert pinned.nets_by_name()["slpb_x"].driver.cell == "slpb_x"
+    assert insert_sleep_pins(pinned) == pinned
+
+
+def test_insert_sleep_pins_names_its_port_clear_of_a_cell():
+    # cell slpb_x holds the port's name, so the port gets a suffix
+    design = parse_design(
+        "cell slpb_x kind=std island=a\ncell b kind=std island=x\nnet n driver=slpb_x.z loads=b.a\n",
+        "island a vdd=1.0\nisland x vdd=1.0 switchable=1\n",
+    )
+    pinned = insert_sleep_pins(design)
+    assert [p.name for p in pinned.ports] == ["slpb_x_1"]
+    assert pinned.nets_by_name()["slpb_x"] == Net("slpb_x", Endpoint("slpb_x_1", "p"), (Endpoint("b", "slpb"),))
+    assert validate_design(pinned) == [] and verify_power_intent(pinned) == []
     assert insert_sleep_pins(pinned) == pinned
 
 
@@ -249,6 +262,10 @@ def test_fix_hooks_a_flagged_cell_that_no_sleep_net_reaches():
         "net n driver=pim0.z loads=block.a\n",
         "island aon vdd=1.2\nisland logic vdd=1.2 switchable=1\n",
     )
+    # check sees the floating pin that fix wires
+    assert [str(v) for v in verify_power_intent(design)] == [
+        "missing_sleep_pin block: cell in switchable island 'logic' has a sleep pin no net drives"
+    ]
     fixed = _fix(design)
     slpb = Net("slpb_logic", Endpoint("pim0", "slpb_logic"), (Endpoint("block", "slpb"),))
     assert fixed.nets_by_name()["slpb_logic"] == slpb

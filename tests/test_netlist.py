@@ -1,6 +1,8 @@
+import gc
 import math
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from pwr.netlist import (
     Design,
     Endpoint,
     Island,
+    Net,
     ParseError,
+    Port,
     parse_activity,
     parse_characterization,
     parse_design,
@@ -111,12 +115,13 @@ _CELL = "cell a kind=std island=x\n"
         (_CELL + "port p dir=sideways vdd=1.2\n", _INTENT, "netlist", 2),
         (_CELL + "port p dir=out vdd=1.2\nnet n driver=p.p loads=a.b\n", _INTENT, "netlist", 3),
         (_CELL + "port p dir=in vdd=1.2\nnet n driver=a.z loads=a.b,p.p\n", _INTENT, "netlist", 3),
+        (_CELL + "port a dir=in vdd=1.2\n", _INTENT, "netlist", 2),
     ],
     ids=[
         "duplicate-island", "island-vdd", "retention", "duplicate-cell", "unknown-island", "cap_ff",
         "gates", "second-pim", "duplicate-port", "port-vdd-negative", "port-vdd-zero", "duplicate-net",
         "unresolved-driver", "unresolved-load", "no-loads", "port-direction", "out-port-driver",
-        "in-port-load",
+        "in-port-load", "cell-port-clash",
     ],
 )
 def test_each_invariant_fails_parse_at_its_line_with_the_validate_rule(netlist, intent, source, line_no, monkeypatch):
@@ -159,6 +164,7 @@ _DEFECTS = {
     "gates": lambda d, r: _change_one(d, "cells", r, gate_count=r.choice((0, -3))),
     "second-pim": lambda d, r: replace(d, cells=d.cells + (CellInstance("pim1", CellKind.PIM, d.islands[0].name),)),
     "duplicate-port": lambda d, r: replace(d, ports=d.ports + (r.choice(d.ports),)),
+    "cell-port-clash": lambda d, r: replace(d, ports=d.ports + (Port(r.choice(d.cells).name, "in", 1.0),)),
     "port-vdd": lambda d, r: _change_one(d, "ports", r, vdd=r.choice((0.0, -1.2))),
     "port-direction": lambda d, r: _change_one(d, "ports", r, direction=r.choice(("sideways", "inout"))),
     "duplicate-net": lambda d, r: replace(d, nets=d.nets + (r.choice(d.nets),)),
@@ -200,6 +206,36 @@ def test_roundtrip_random_designs(seed):
     assert validate_design(design) == []
     netlist_text, intent_text = serialize_design(design)
     assert parse_design(netlist_text, intent_text) == design
+
+
+def test_parsed_endpoints_are_not_gc_tracked():
+    design = parse_design(*serialize_design(random_fixed_design(random.Random(7))))
+    gc.collect()
+    for net in design.nets:
+        assert type(net.raw_driver) is tuple and not gc.is_tracked(net.raw_driver)
+        assert all(type(ep) is tuple and not gc.is_tracked(ep) for ep in net.raw_loads)
+    # a tuple is untracked once a collection finds its items untracked
+    gc.collect()
+    assert not any(gc.is_tracked(net.raw_loads) for net in design.nets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_net_keeps_the_dataclass_api(seed):
+    design = random_fixed_design(random.Random(seed))
+    assert [f.name for f in fields(Net)] == ["name", "driver", "loads"]
+    for net in design.nets:
+        loads = tuple(Endpoint(*ep) for ep in net.raw_loads)
+        rebuilt = Net(net.name, Endpoint(*net.raw_driver), loads)
+        assert type(rebuilt.raw_driver) is tuple and all(type(ep) is tuple for ep in rebuilt.raw_loads)
+        assert rebuilt == net and hash(rebuilt) == hash(net)
+        assert net.loads == loads and all(type(ep) is Endpoint for ep in net.loads)
+        assert type(net.driver) is Endpoint and repr(net).startswith(f"Net(name='{net.name}', driver=Endpoint(")
+        moved = replace(net, loads=loads[::-1])
+        assert moved.loads == loads[::-1] and moved.raw_driver == net.raw_driver
+        assert (moved == net) == (loads == loads[::-1])
+    assert pickle.loads(pickle.dumps(design)) == design
+    assert parse_design(*serialize_design(design)) == design
 
 
 def test_sleep_attribute_roundtrips():
