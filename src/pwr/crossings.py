@@ -27,6 +27,8 @@ from .netlist import (
     Design,
     Net,
     Port,
+    _make_cell,
+    _make_net,
 )
 
 __all__ = [
@@ -170,15 +172,15 @@ def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
             name = f"{prefix}_{net_name}"
             if kind_counts[(net_name, kind)] > 1:
                 name += f"_{receiver}"
-            chain.append(CellInstance(_unique(name, taken_cell_names), cell_kind, receiver))
+            chain.append(_make_cell(_unique(name, taken_cell_names), cell_kind, receiver, 0.0, 1, False))
         new_cells.extend(chain)
 
         other_loads.append((chain[0].name, "a"))
-        patched[net_name] = Net(net_name, net.raw_driver, other_loads)
+        patched[net_name] = _make_net(net_name, net.raw_driver, tuple(other_loads))
         for i, fix_cell in enumerate(chain):
-            loads = ((chain[i + 1].name, "a"),) if i + 1 < len(chain) else receiver_loads
+            loads = ((chain[i + 1].name, "a"),) if i + 1 < len(chain) else tuple(receiver_loads)
             out_name = _unique(f"{fix_cell.name}_out", taken_net_names)
-            added_nets.append(Net(out_name, (fix_cell.name, "z"), loads))
+            added_nets.append(_make_net(out_name, (fix_cell.name, "z"), loads))
 
     nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(added_nets)
     return replace(design, cells=design.cells + tuple(new_cells), nets=nets)
@@ -203,7 +205,7 @@ def insert_sleep_pins(design: Design) -> Design:
             if cell.name not in wired:
                 hooked[cell.island].append((cell.name, "slpb"))
             if not cell.has_sleep_pin:
-                cells[at] = CellInstance(cell.name, cell.kind, cell.island, cell.cap_ff, cell.gate_count, True)
+                cells[at] = _make_cell(cell.name, cell.kind, cell.island, cell.cap_ff, cell.gate_count, True)
     pending = {f"slpb_{island}": (island, loads) for island, loads in hooked.items() if loads}
     if not pending and tuple(cells) == design.cells:
         return design
@@ -211,7 +213,7 @@ def insert_sleep_pins(design: Design) -> Design:
     nets = list(design.nets)
     for at, net in enumerate(nets):
         if net.name in pending:
-            nets[at] = Net(net.name, net.raw_driver, net.raw_loads + tuple(pending.pop(net.name)[1]))
+            nets[at] = _make_net(net.name, net.raw_driver, net.raw_loads + tuple(pending.pop(net.name)[1]))
     ports = list(design.ports)
     pim = design.pim_cell()
     taken = set(design.cells_by_name()) | set(design.ports_by_name())
@@ -224,7 +226,7 @@ def insert_sleep_pins(design: Design) -> Design:
                 port = Port(_unique(net_name, taken), "in", design.islands_by_name()[island].vdd)
                 ports.append(port)
             driver = (port.name, "p")
-        nets.append(Net(net_name, driver, loads))
+        nets.append(_make_net(net_name, driver, tuple(loads)))
     return replace(design, cells=tuple(cells), nets=tuple(nets), ports=tuple(ports))
 
 

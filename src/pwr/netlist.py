@@ -1,9 +1,10 @@
 """Domain model and parsers for the island/netlist file formats.
 
 All input formats are line based UTF-8: ``#`` starts a comment, tokens are
-whitespace separated, and attributes are ``key=value`` pairs.  One reader,
-``_statements``, turns each ``<directive> <name> key=value ...`` line into
-its name and attributes, given the directive's required and optional keys:
+whitespace separated, and attributes are ``key=value`` pairs.  One checked
+reader, ``_statements``, turns each ``<directive> <name> key=value ...`` line
+into its name and attributes, given the directive's required and optional
+keys:
 
 * intent file     -- ``island <name> vdd=<float> switchable=<0|1> retention=<0|1>``
 * netlist file    -- ``cell``, ``net`` and ``port`` statements
@@ -12,6 +13,14 @@ its name and attributes, given the directive's required and optional keys:
   and ``calib`` lines, read by ``power.parse_calibration``
 
 Each parser then converts the values and applies its format's range rules.
+
+The netlist is the one large input, so ``parse_design`` reads its ``cell``,
+``net`` and ``port`` lines in one direct pass instead: it splits each line
+once, matches each key against the statement's keys, converts the values
+with the bare ``float``/``int`` and appends each record to its list, with no
+attribute dict per line.  Any line it rejects is read again by
+``_statements`` and the checked converters, which raise the ``ParseError``
+they always gave, so the values and errors are those of the checked reader.
 ``parse_design`` checks no design invariant itself: it runs the same walk
 as ``validate_design`` and reports the first fault at its line.
 
@@ -25,7 +34,9 @@ which CPython stops tracking after their first collection (an ``Endpoint``,
 being a tuple subclass, is tracked for life).  ``Net.driver`` and
 ``Net.loads`` stay the public fields: they accept ``Endpoint`` values or
 plain pairs and return ``Endpoint`` views built on each read.  The stages
-read the raw tuples.
+read the raw tuples.  The parser and the fixer build ``Net`` and
+``CellInstance`` records from values they have already checked by writing
+straight into the slots (``_make_net``, ``_make_cell``).
 
 A ``Design`` also carries a topology index (name maps, gate sums per
 island, dynamic-power terms and the crossing walk), built member by member
@@ -88,6 +99,7 @@ class CellKind(str, Enum):
 
 
 _KIND_BY_VALUE = {kind.value: kind for kind in CellKind}
+_KIND_TEXT = {kind: kind.value for kind in CellKind}
 
 # Kinds spliced in by the crossing fixer; they relay signals between domains.
 FIX_KINDS = frozenset((CellKind.LEVEL_SHIFTER, CellKind.ISO))
@@ -157,6 +169,40 @@ class Net:
 # set after @dataclass, which would otherwise take a property for a default
 Net.driver = property(lambda net: Endpoint._make(net.raw_driver))  # type: ignore[assignment]
 Net.loads = property(lambda net: tuple(map(Endpoint._make, net.raw_loads)))  # type: ignore[assignment]
+
+
+# The builders below write trusted values straight into the records' slots
+# through the slot descriptors, which a frozen class's __setattr__ cannot
+# block: no field-by-field setattr lookup and no copy of the endpoints.
+_new = object.__new__
+_cell_name, _cell_kind, _cell_island, _cell_cap_ff, _cell_gates, _cell_sleep = (
+    CellInstance.__dict__[slot].__set__
+    for slot in ("name", "kind", "island", "cap_ff", "gate_count", "has_sleep_pin")
+)
+_net_name, _net_driver, _net_loads = (Net.__dict__[slot].__set__ for slot in ("name", "raw_driver", "raw_loads"))
+
+
+def _make_cell(name: str, kind: CellKind, island: str, cap_ff: float, gate_count: int,
+               has_sleep_pin: bool) -> CellInstance:
+    """``CellInstance(...)`` for values of exactly the field types."""
+    cell = _new(CellInstance)
+    _cell_name(cell, name)
+    _cell_kind(cell, kind)
+    _cell_island(cell, island)
+    _cell_cap_ff(cell, cap_ff)
+    _cell_gates(cell, gate_count)
+    _cell_sleep(cell, has_sleep_pin)
+    return cell
+
+
+def _make_net(name: str, raw_driver: tuple[str, str], raw_loads: tuple[tuple[str, str], ...]) -> Net:
+    """``Net(...)`` for an exact ``(cell, pin)`` str tuple and an exact tuple
+    of them, stored as given."""
+    net = _new(Net)
+    _net_name(net, name)
+    _net_driver(net, raw_driver)
+    _net_loads(net, raw_loads)
+    return net
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,10 +472,12 @@ def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield line_no, tokens
 
 
-def _statements(source: str, text: str, grammar: _Grammar) -> Iterator[tuple[int, str, str, dict[str, str]]]:
+def _statements(source: str, lines: Iterable[tuple[int, list[str]]],
+                grammar: _Grammar) -> Iterator[tuple[int, str, str, dict[str, str]]]:
     """``(line_no, directive, name, attrs)`` of every ``<directive> <name>
-    key=value ...`` line whose directive ``grammar`` gives keys for."""
-    for line_no, tokens in _token_lines(text):
+    key=value ...`` line, out of ``_token_lines``, whose directive
+    ``grammar`` gives keys for."""
+    for line_no, tokens in lines:
         directive = tokens[0]
         if directive not in grammar:
             raise ParseError(source, line_no, f"unknown directive '{directive}'")
@@ -489,10 +537,6 @@ def _endpoint(source: str, line_no: int, value: str) -> tuple[str, str]:
     return cell, pin
 
 
-def _num(x: float) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # design parsing / validation / serialization
 
@@ -514,7 +558,7 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
     islands: list[Island] = []
     # line numbers per statement category, aligned with the Design tuples
     lines: dict[str, list[int]] = {"island": [], "cell": [], "net": [], "port": []}
-    for line_no, _, name, attrs in _statements("intent", intent_text, _INTENT_GRAMMAR):
+    for line_no, _, name, attrs in _statements("intent", _token_lines(intent_text), _INTENT_GRAMMAR):
         islands.append(Island(
             name,
             _float("intent", line_no, "vdd", attrs["vdd"]),
@@ -526,26 +570,91 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
     cells: list[CellInstance] = []
     nets: list[Net] = []
     ports: list[Port] = []
-    for line_no, stmt, name, attrs in _statements("netlist", netlist_text, _NETLIST_GRAMMAR):
-        if stmt == "cell":
-            kind = _KIND_BY_VALUE.get(attrs["kind"])
-            if kind is None:
-                raise ParseError("netlist", line_no, f"unknown cell kind '{attrs['kind']}'")
-            cells.append(CellInstance(
-                name,
-                kind,
-                attrs["island"],
-                _float("netlist", line_no, "cap_ff", attrs.get("cap_ff", "0")),
-                _int("netlist", line_no, "gates", attrs.get("gates", "1")),
-                _flag("netlist", line_no, "sleep", attrs.get("sleep", "0")),
-            ))
-        elif stmt == "net":
-            driver = _endpoint("netlist", line_no, attrs["driver"])
-            loads = [_endpoint("netlist", line_no, item) for item in attrs.get("loads", "").split(",") if item]
-            nets.append(Net(name, driver, loads))
-        else:
-            ports.append(Port(name, attrs["dir"], _float("netlist", line_no, "vdd", attrs["vdd"])))
-        lines[stmt].append(line_no)
+    cell_lines, net_lines, port_lines = lines["cell"], lines["net"], lines["port"]
+    kinds = _KIND_BY_VALUE
+    isfinite = math.isfinite
+    try:
+        # Every check below raises ValueError, and only on a line the
+        # checked reader rejects too; ``_netlist_fault`` then names the fault.
+        for line_no, raw in enumerate(netlist_text.splitlines(), start=1):
+            # as _token_lines: the text before any "#", split at whitespace
+            tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
+            if not tokens:
+                continue
+            directive, name, *attrs = tokens
+            if "=" in name:
+                raise ValueError
+            if directive == "cell":
+                kind = island = cap_ff = gates = sleep = None
+                for attr in attrs:
+                    key, _, value = attr.partition("=")
+                    if not value:
+                        raise ValueError
+                    if key == "kind" and kind is None:
+                        kind = value
+                    elif key == "island" and island is None:
+                        island = value
+                    elif key == "cap_ff" and cap_ff is None:
+                        cap_ff = value
+                    elif key == "gates" and gates is None:
+                        gates = value
+                    elif key == "sleep" and sleep is None:
+                        sleep = value
+                    else:
+                        raise ValueError
+                cap = 0.0 if cap_ff is None else float(cap_ff)
+                if kind not in kinds or island is None or not isfinite(cap) or sleep not in (None, "0", "1"):
+                    raise ValueError
+                cells.append(_make_cell(
+                    name, kinds[kind], island, cap, 1 if gates is None else int(gates), sleep == "1",
+                ))
+                cell_lines.append(line_no)
+            elif directive == "net":
+                driver = loads = None
+                for attr in attrs:
+                    key, _, value = attr.partition("=")
+                    if key == "driver" and driver is None and value:
+                        driver = value
+                    elif key == "loads" and loads is None and value:
+                        loads = value
+                    else:
+                        raise ValueError
+                if driver is None:
+                    raise ValueError
+                # rpartition(".")[::2] is an exact (cell, pin) tuple, with an
+                # empty string for a missing cell or pin
+                raw_driver = driver.rpartition(".")[::2]
+                raw_loads = () if loads is None else tuple(
+                    [item.rpartition(".")[::2] for item in loads.split(",") if item]
+                )
+                if "" in raw_driver:
+                    raise ValueError
+                for cell, pin in raw_loads:
+                    if not cell or not pin:
+                        raise ValueError
+                nets.append(_make_net(name, raw_driver, raw_loads))
+                net_lines.append(line_no)
+            elif directive == "port":
+                direction = vdd = None
+                for attr in attrs:
+                    key, _, value = attr.partition("=")
+                    if key == "dir" and direction is None and value:
+                        direction = value
+                    elif key == "vdd" and vdd is None and value:
+                        vdd = value
+                    else:
+                        raise ValueError
+                if direction is None or vdd is None:
+                    raise ValueError
+                volts = float(vdd)
+                if not isfinite(volts):
+                    raise ValueError
+                ports.append(Port(name, direction, volts))
+                port_lines.append(line_no)
+            else:
+                raise ValueError
+    except ValueError:
+        raise _netlist_fault(line_no, tokens) from None
 
     design = Design(tuple(islands), tuple(cells), tuple(nets), tuple(ports))
     fault = min(
@@ -560,14 +669,40 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
     return design
 
 
+def _netlist_fault(line_no: int, tokens: list[str]) -> ParseError:
+    """The ``ParseError`` of a netlist line that ``parse_design`` rejected,
+    as the checked reader finds it: ``_statements`` over the tokens in line
+    order, then the value converters in a fixed order."""
+    try:
+        for _, stmt, _, attrs in _statements("netlist", [(line_no, tokens)], _NETLIST_GRAMMAR):
+            if stmt == "cell":
+                if attrs["kind"] not in _KIND_BY_VALUE:
+                    raise ParseError("netlist", line_no, f"unknown cell kind '{attrs['kind']}'")
+                _float("netlist", line_no, "cap_ff", attrs.get("cap_ff", "0"))
+                _int("netlist", line_no, "gates", attrs.get("gates", "1"))
+                _flag("netlist", line_no, "sleep", attrs.get("sleep", "0"))
+            elif stmt == "net":
+                for item in [attrs["driver"], *attrs.get("loads", "").split(",")]:
+                    if item:
+                        _endpoint("netlist", line_no, item)
+            else:
+                _float("netlist", line_no, "vdd", attrs["vdd"])
+    except ParseError as error:
+        return error
+    raise AssertionError(f"netlist line {line_no}: the checked reader accepts what parse_design rejected")
+
+
 def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
     """Every broken design invariant as ``(category, index, rule)``, where
     ``index`` points into the category's tuple: islands, cells, ports, nets."""
     island_names: set[str] = set()
+    switchable: set[str] = set()
     for i, isl in enumerate(design.islands):
         if isl.name in island_names:
             yield "island", i, "duplicate name"
         island_names.add(isl.name)
+        if isl.switchable:
+            switchable.add(isl.name)
         if not 0 < isl.vdd < math.inf:
             yield "island", i, "vdd must be positive and finite"
         if isl.retention and not isl.switchable:
@@ -589,6 +724,9 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
             if pim_seen:
                 yield "cell", i, "multiple pim cells"
             pim_seen = True
+            # an island manager that powers itself down cannot wake its island
+            if cell.island in switchable:
+                yield "cell", i, f"pim in switchable island '{cell.island}'"
 
     # cells and ports share one endpoint namespace
     direction: dict[str, str] = {}
@@ -639,23 +777,20 @@ def serialize_design(design: Design) -> tuple[str, str]:
     Round-trip stable: re-parsing the output yields a value-equal Design.
     """
     intent = [
-        f"island {i.name} vdd={_num(i.vdd)} switchable={int(i.switchable)} retention={int(i.retention)}"
+        f"island {i.name} vdd={float(i.vdd)!r} switchable={int(i.switchable)} retention={int(i.retention)}"
         for i in design.islands
     ]
-    lines = [f"port {p.name} dir={p.direction} vdd={_num(p.vdd)}" for p in design.ports]
-    for c in design.cells:
-        stmt = (
-            f"cell {c.name} kind={c.kind.value} island={c.island}"
-            f" cap_ff={_num(c.cap_ff)} gates={c.gate_count}"
-        )
-        if c.has_sleep_pin:
-            stmt += " sleep=1"
-        lines.append(stmt)
-    for n in design.nets:
-        stmt = f"net {n.name} driver={'.'.join(n.raw_driver)}"
-        if n.raw_loads:
-            stmt += " loads=" + ",".join(map(".".join, n.raw_loads))
-        lines.append(stmt)
+    lines = [f"port {p.name} dir={p.direction} vdd={float(p.vdd)!r}" for p in design.ports]
+    lines += [
+        f"cell {c.name} kind={_KIND_TEXT[c.kind]} island={c.island} cap_ff={float(c.cap_ff)!r}"
+        f" gates={c.gate_count}{' sleep=1' if c.has_sleep_pin else ''}"
+        for c in design.cells
+    ]
+    lines += [
+        f"net {n.name} driver={'.'.join(n.raw_driver)} loads={','.join(map('.'.join, n.raw_loads))}"
+        if n.raw_loads else f"net {n.name} driver={'.'.join(n.raw_driver)}"
+        for n in design.nets
+    ]
     return "\n".join(lines) + "\n", "\n".join(intent) + "\n"
 
 
@@ -676,7 +811,7 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
     toggles: dict[str, int] = {}
     durations: dict[str, float] = {}
     grammar = {"net": (("toggles", "duration_ns"), ())}
-    for line_no, _, name, attrs in _statements("activity", activity_text, grammar):
+    for line_no, _, name, attrs in _statements("activity", _token_lines(activity_text), grammar):
         if known is not None and name not in known:
             raise ParseError("activity", line_no, f"unknown net '{name}'")
         count = _int("activity", line_no, "toggles", attrs["toggles"])
@@ -700,7 +835,7 @@ def parse_characterization(char_text: str) -> CharTable:
     rows: list[CharRow] = []
     seen: set[tuple[str, float]] = set()
     grammar = {"op": (("vdd", "fmax_mhz", "area_um2", "cap_factor"), ()), "calib": None}
-    for line_no, _, name, attrs in _statements("characterization", char_text, grammar):
+    for line_no, _, name, attrs in _statements("characterization", _token_lines(char_text), grammar):
         vdd = _float("characterization", line_no, "vdd", attrs["vdd"])
         fmax = _float("characterization", line_no, "fmax_mhz", attrs["fmax_mhz"])
         area = _float("characterization", line_no, "area_um2", attrs["area_um2"])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .netlist import ActivityProfile, Design, ParseError, _float, _int, _statements
+from .netlist import ActivityProfile, Design, ParseError, _float, _int, _statements, _token_lines
 
 __all__ = [
     "DynamicPowerParams",
@@ -232,7 +232,7 @@ def parse_calibration(text: str) -> CalibrationTable:
     entries: list[CalibrationEntry] = []
     seen: set[tuple[str, int, str]] = set()
     grammar = {"calib": (("temp", "source", "factor"), ()), "op": None}
-    for line_no, _, name, attrs in _statements("characterization", text, grammar):
+    for line_no, _, name, attrs in _statements("characterization", _token_lines(text), grammar):
         temp = _int("characterization", line_no, "temp", attrs["temp"])
         if attrs["source"] not in ("model", "silicon"):
             raise ParseError("characterization", line_no, f"bad source '{attrs['source']}' (want model or silicon)")

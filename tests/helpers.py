@@ -6,7 +6,29 @@ import random
 from dataclasses import replace
 
 from pwr.crossings import CrossingIssue, IssueKind
-from pwr.netlist import FIX_KINDS, ActivityProfile, CellInstance, CellKind, Design, Endpoint, Island, Net, Port
+from pwr.netlist import (
+    _INTENT_GRAMMAR,
+    _KIND_BY_VALUE,
+    _NETLIST_GRAMMAR,
+    FIX_KINDS,
+    ActivityProfile,
+    CellInstance,
+    CellKind,
+    Design,
+    Endpoint,
+    Island,
+    Net,
+    ParseError,
+    Port,
+    _design_error,
+    _design_faults,
+    _endpoint,
+    _flag,
+    _float,
+    _int,
+    _statements,
+    _token_lines,
+)
 from pwr.pimsim import ScriptCommand, Trace
 from pwr.power import DynamicPowerParams, LeakageModel, leakage_current_per_gate
 
@@ -41,16 +63,20 @@ def random_design(rng: random.Random) -> Design:
 
 
 def random_fixed_design(rng: random.Random) -> Design:
-    """A ``random_design`` with a pim, an input port driving a net that also
-    feeds an output port, level shifters and iso cells spliced onto existing
-    nets (possibly onto each other's outputs or the port's net), and
-    sometimes a cell or net named like one ``apply_power_fixes`` would
-    generate."""
+    """A ``random_design`` with a pim in an always-on island, an input port
+    driving a net that also feeds an output port, level shifters and iso
+    cells spliced onto existing nets (possibly onto each other's outputs or
+    the port's net), and sometimes a cell or net named like one
+    ``apply_power_fixes`` would generate."""
     design = random_design(rng)
+    if all(i.switchable for i in design.islands):
+        # the pim must sit in an always-on island
+        design = replace(design, islands=(replace(design.islands[0], switchable=False),) + design.islands[1:])
     islands = [i.name for i in design.islands]
     cells = list(design.cells)
     nets = list(design.nets)
-    cells.append(CellInstance("pim0", CellKind.PIM, rng.choice(islands), cap_ff=5.0))
+    always_on = [i.name for i in design.islands if not i.switchable]
+    cells.append(CellInstance("pim0", CellKind.PIM, rng.choice(always_on), cap_ff=5.0))
     nets.append(Net("pim_net", Endpoint("pim0", "z"), (Endpoint(rng.choice(cells).name, "a"),)))
     ports = (Port("pin", "in", rng.choice(VOLTAGES)), Port("pout", "out", rng.choice(VOLTAGES)))
     nets.append(Net("pin_net", Endpoint("pin", "p"), (Endpoint(rng.choice(cells).name, "a"), Endpoint("pout", "p"))))
@@ -73,6 +99,53 @@ def random_fixed_design(rng: random.Random) -> Design:
         loads = (Endpoint(rng.choice(cells).name, "a"),)
         nets.append(Net(f"{taken}_out", Endpoint(rng.choice(cells).name, "y"), loads))
     return Design(design.islands, tuple(cells), tuple(nets), ports)
+
+
+def reference_parse_design(netlist_text: str, intent_text: str) -> Design:
+    """``parse_design`` as one loop over ``_statements`` and the checked
+    converters for every format: the oracle for its direct netlist reader."""
+    islands: list[Island] = []
+    lines: dict[str, list[int]] = {"island": [], "cell": [], "net": [], "port": []}
+    for line_no, _, name, attrs in _statements("intent", _token_lines(intent_text), _INTENT_GRAMMAR):
+        islands.append(Island(
+            name,
+            _float("intent", line_no, "vdd", attrs["vdd"]),
+            _flag("intent", line_no, "switchable", attrs.get("switchable", "0")),
+            _flag("intent", line_no, "retention", attrs.get("retention", "0")),
+        ))
+        lines["island"].append(line_no)
+
+    cells: list[CellInstance] = []
+    nets: list[Net] = []
+    ports: list[Port] = []
+    for line_no, stmt, name, attrs in _statements("netlist", _token_lines(netlist_text), _NETLIST_GRAMMAR):
+        if stmt == "cell":
+            kind = _KIND_BY_VALUE.get(attrs["kind"])
+            if kind is None:
+                raise ParseError("netlist", line_no, f"unknown cell kind '{attrs['kind']}'")
+            cells.append(CellInstance(
+                name,
+                kind,
+                attrs["island"],
+                _float("netlist", line_no, "cap_ff", attrs.get("cap_ff", "0")),
+                _int("netlist", line_no, "gates", attrs.get("gates", "1")),
+                _flag("netlist", line_no, "sleep", attrs.get("sleep", "0")),
+            ))
+        elif stmt == "net":
+            driver = _endpoint("netlist", line_no, attrs["driver"])
+            loads = [_endpoint("netlist", line_no, item) for item in attrs.get("loads", "").split(",") if item]
+            nets.append(Net(name, driver, loads))
+        else:
+            ports.append(Port(name, attrs["dir"], _float("netlist", line_no, "vdd", attrs["vdd"])))
+        lines[stmt].append(line_no)
+
+    design = Design(tuple(islands), tuple(cells), tuple(nets), tuple(ports))
+    fault = min(_design_faults(design), key=lambda f: (f[0] != "island", lines[f[0]][f[1]]), default=None)
+    if fault is not None:
+        category, index, _ = fault
+        source = "intent" if category == "island" else "netlist"
+        raise ParseError(source, lines[category][index], str(_design_error(design, *fault)))
+    return design
 
 
 def reference_crossings(design: Design, assume_transmission_gates: bool = False) -> list[CrossingIssue]:

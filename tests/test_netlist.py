@@ -2,14 +2,15 @@ import gc
 import math
 import pickle
 import random
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_design, random_fixed_design
+from helpers import random_design, random_fixed_design, reference_parse_design
 from pwr.cli import parse_config
+from pwr.crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins
 from pwr.netlist import (
     CellInstance,
     CellKind,
@@ -21,6 +22,8 @@ from pwr.netlist import (
     Port,
     parse_activity,
     parse_characterization,
+    _make_cell,
+    _make_net,
     parse_design,
     serialize_design,
     validate_design,
@@ -116,12 +119,13 @@ _CELL = "cell a kind=std island=x\n"
         (_CELL + "port p dir=out vdd=1.2\nnet n driver=p.p loads=a.b\n", _INTENT, "netlist", 3),
         (_CELL + "port p dir=in vdd=1.2\nnet n driver=a.z loads=a.b,p.p\n", _INTENT, "netlist", 3),
         (_CELL + "port a dir=in vdd=1.2\n", _INTENT, "netlist", 2),
+        (_CELL + "cell p kind=pim island=s\n", _INTENT + "island s vdd=1.0 switchable=1\n", "netlist", 2),
     ],
     ids=[
         "duplicate-island", "island-vdd", "retention", "duplicate-cell", "unknown-island", "cap_ff",
         "gates", "second-pim", "duplicate-port", "port-vdd-negative", "port-vdd-zero", "duplicate-net",
         "unresolved-driver", "unresolved-load", "no-loads", "port-direction", "out-port-driver",
-        "in-port-load", "cell-port-clash",
+        "in-port-load", "cell-port-clash", "pim-switchable",
     ],
 )
 def test_each_invariant_fails_parse_at_its_line_with_the_validate_rule(netlist, intent, source, line_no, monkeypatch):
@@ -146,6 +150,15 @@ def test_parse_reports_intent_faults_first_then_the_lowest_line():
     assert (info.value.source, info.value.line_no) == ("intent", 2)
 
 
+def _pim_into_switchable(design: Design, rng: random.Random) -> Design:
+    """Move the pim into a random island, made switchable."""
+    islands = list(design.islands)
+    at = rng.randrange(len(islands))
+    islands[at] = replace(islands[at], switchable=True)
+    cells = tuple(replace(c, island=islands[at].name) if c.kind is CellKind.PIM else c for c in design.cells)
+    return replace(design, islands=tuple(islands), cells=cells)
+
+
 def _change_one(design: Design, field: str, rng: random.Random, **changes) -> Design:
     items = list(getattr(design, field))
     at = rng.randrange(len(items))
@@ -163,6 +176,7 @@ _DEFECTS = {
     "cap_ff": lambda d, r: _change_one(d, "cells", r, cap_ff=r.choice((-1.0, math.inf))),
     "gates": lambda d, r: _change_one(d, "cells", r, gate_count=r.choice((0, -3))),
     "second-pim": lambda d, r: replace(d, cells=d.cells + (CellInstance("pim1", CellKind.PIM, d.islands[0].name),)),
+    "pim-switchable": _pim_into_switchable,
     "duplicate-port": lambda d, r: replace(d, ports=d.ports + (r.choice(d.ports),)),
     "cell-port-clash": lambda d, r: replace(d, ports=d.ports + (Port(r.choice(d.cells).name, "in", 1.0),)),
     "port-vdd": lambda d, r: _change_one(d, "ports", r, vdd=r.choice((0.0, -1.2))),
@@ -188,6 +202,113 @@ def test_parse_rejects_exactly_what_validate_rejects(seed, defect):
         assert parsed == design
 
 
+def _set_attr(tokens: list[str], key: str, value: str) -> list[str]:
+    """The tokens with ``key`` set to ``value``, appended after the rest."""
+    kept = [t for t in tokens[2:] if not t.startswith(key + "=")]
+    return tokens[:2] + kept + [f"{key}={value}"]
+
+
+def _spaced(tokens: list[str], rng: random.Random) -> str:
+    gaps = [rng.choice((" ", "\t", "   ", " \t ")) for _ in tokens[1:]]
+    return rng.choice(("", " ", "\t")) + tokens[0] + "".join(gap + tok for gap, tok in zip(gaps, tokens[1:]))
+
+
+def _with_load(tokens: list[str], rng: random.Random, item: str) -> list[str]:
+    items = next(t for t in tokens if t.startswith("loads="))[len("loads="):].split(",")
+    items.insert(rng.randint(0, len(items)), item)
+    return _set_attr(tokens, "loads", ",".join(items))
+
+
+def _without_required(tokens: list[str], rng: random.Random) -> list[str]:
+    key = rng.choice({"cell": ("kind", "island"), "net": ("driver",), "port": ("dir", "vdd")}[tokens[0]])
+    return [t for t in tokens if not t.startswith(key + "=")]
+
+
+def _emptied(tokens: list[str], rng: random.Random) -> list[str]:
+    return _set_attr(tokens, rng.choice(tokens[2:]).partition("=")[0], "")
+
+
+def _shuffled(tokens: list[str], rng: random.Random) -> list[str]:
+    attrs = tokens[2:]
+    rng.shuffle(attrs)
+    return tokens[:2] + attrs
+
+
+def _inserted(tokens: list[str], rng: random.Random, token: str) -> list[str]:
+    at = rng.randint(2, len(tokens))
+    return tokens[:at] + [token] + tokens[at:]
+
+
+# name -> (directives it applies to, whether the line stays valid, (tokens, rng) -> line)
+_PERTURBATIONS = {
+    "shuffled": (("cell", "net", "port"), True, lambda t, r: " ".join(_shuffled(t, r))),
+    "comment": (("cell", "net", "port"), True, lambda t, r: " ".join(t) + r.choice(("#", " # x=1", "\t#  loads="))),
+    "whitespace": (("cell", "net", "port"), True, _spaced),
+    "empty-load-item": (("net",), True, lambda t, r: " ".join(_with_load(t, r, ""))),
+    "no-equals": (("cell", "net", "port"), False, lambda t, r: " ".join(_inserted(t, r, "stray"))),
+    "unknown-key": (("cell", "net", "port"), False, lambda t, r: " ".join(_inserted(t, r, "colour=red"))),
+    "duplicate-key": (("cell", "net", "port"), False, lambda t, r: " ".join(_inserted(t, r, r.choice(t[2:])))),
+    "cap_ff-nan": (("cell",), False, lambda t, r: " ".join(_set_attr(t, "cap_ff", "nan"))),
+    "gates-float": (("cell",), False, lambda t, r: " ".join(_set_attr(t, "gates", "1.5"))),
+    "sleep-2": (("cell",), False, lambda t, r: " ".join(_set_attr(t, "sleep", "2"))),
+    "kind-bogus": (("cell",), False, lambda t, r: " ".join(_set_attr(t, "kind", "bogus"))),
+    "driver-no-cell": (("net",), False, lambda t, r: " ".join(_set_attr(t, "driver", ".z"))),
+    "empty-loads": (("net",), False, lambda t, r: " ".join(_set_attr(t, "loads", ""))),
+    "required-key-dropped": (("cell", "net", "port"), False, lambda t, r: " ".join(_without_required(t, r))),
+    "empty-value": (("cell", "net", "port"), False, lambda t, r: " ".join(_emptied(t, r))),
+    "bad-load": (("net",), False, lambda t, r: " ".join(_with_load(t, r, r.choice(("c.", ".a", "ca", "."))))),
+    "name-with-equals": (("cell", "net", "port"), False, lambda t, r: " ".join([t[0], t[1] + "=1", *t[2:]])),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.sampled_from(sorted(_PERTURBATIONS)), min_size=1, max_size=3))
+def test_direct_reader_matches_the_checked_reader(seed, perturbations):
+    rng = random.Random(seed)
+    design = random_fixed_design(rng)
+    netlist_text, intent_text = serialize_design(design)
+    lines = netlist_text.splitlines()
+    for name in perturbations:
+        directives, _, perturb = _PERTURBATIONS[name]
+        directive = rng.choice(directives)  # ports are few: pick the kind of line first
+        tokens = [line.split("#", 1)[0].split() for line in lines]
+        at = rng.choice([i for i, t in enumerate(tokens) if t[0] == directive and len(t) > 2])
+        lines[at] = perturb(tokens[at], rng)
+    text = "\n".join(lines) + "\n"
+    _same_outcome(text, intent_text)
+    if all(_PERTURBATIONS[name][1] for name in perturbations):
+        assert parse_design(text, intent_text) == design
+
+
+def _same_outcome(netlist: str, intent: str) -> None:
+    """``parse_design`` gives the reference's Design, or its ParseError."""
+    try:
+        expected = reference_parse_design(netlist, intent)
+    except ParseError as error:
+        with pytest.raises(ParseError) as info:
+            parse_design(netlist, intent)
+        assert (info.value.source, info.value.line_no, info.value.message) == (
+            error.source, error.line_no, error.message)
+    else:
+        assert parse_design(netlist, intent) == expected
+
+
+def test_direct_reader_matches_the_checked_reader_on_every_key():
+    lines = ["cell a kind=std island=x cap_ff=1.5 gates=2 sleep=1", "net n driver=a.z loads=a.b,a.c",
+             "port p dir=in vdd=1.2"]
+    for at, line in enumerate(lines):
+        for attr in line.split()[2:]:
+            key = attr.partition("=")[0]
+            for edited in (
+                f"{line} {attr}",  # duplicate
+                line.replace(attr, f"{key}="),
+                line.replace(f" {attr}", ""),
+                line.replace(attr, f"{key}=?"),
+                line.replace(attr, key),
+            ):
+                _same_outcome("\n".join(lines[:at] + [edited] + lines[at + 1:]), "island x vdd=1.2 switchable=1\n")
+
+
 def test_port_driven_net_parses():
     netlist = "port clk dir=in vdd=1.2\ncell a kind=std island=x\nnet nclk driver=clk.p loads=a.ck\n"
     design = parse_design(netlist, "island x vdd=1.2\n")
@@ -210,32 +331,66 @@ def test_roundtrip_random_designs(seed):
 
 def test_parsed_endpoints_are_not_gc_tracked():
     design = parse_design(*serialize_design(random_fixed_design(random.Random(7))))
+    # and so are those of the nets that fix and the builder make
+    pinned = insert_sleep_pins(design)
+    fixed = apply_power_fixes(pinned, analyze_crossings(pinned))
+    built = _make_net("n", tuple("a.z".split(".")), tuple(tuple(ep.split(".")) for ep in ("b.a", "c.a")))
+    nets = design.nets + fixed.nets + (built,)
     gc.collect()
-    for net in design.nets:
+    for net in nets:
         assert type(net.raw_driver) is tuple and not gc.is_tracked(net.raw_driver)
         assert all(type(ep) is tuple and not gc.is_tracked(ep) for ep in net.raw_loads)
     # a tuple is untracked once a collection finds its items untracked
     gc.collect()
-    assert not any(gc.is_tracked(net.raw_loads) for net in design.nets)
+    assert not any(gc.is_tracked(net.raw_loads) for net in nets)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6))
 def test_net_keeps_the_dataclass_api(seed):
     design = random_fixed_design(random.Random(seed))
+    parsed = parse_design(*serialize_design(design))
     assert [f.name for f in fields(Net)] == ["name", "driver", "loads"]
-    for net in design.nets:
+    for net, read in zip(design.nets, parsed.nets):
         loads = tuple(Endpoint(*ep) for ep in net.raw_loads)
-        rebuilt = Net(net.name, Endpoint(*net.raw_driver), loads)
-        assert type(rebuilt.raw_driver) is tuple and all(type(ep) is tuple for ep in rebuilt.raw_loads)
-        assert rebuilt == net and hash(rebuilt) == hash(net)
-        assert net.loads == loads and all(type(ep) is Endpoint for ep in net.loads)
-        assert type(net.driver) is Endpoint and repr(net).startswith(f"Net(name='{net.name}', driver=Endpoint(")
-        moved = replace(net, loads=loads[::-1])
-        assert moved.loads == loads[::-1] and moved.raw_driver == net.raw_driver
-        assert (moved == net) == (loads == loads[::-1])
+        constructed = Net(net.name, Endpoint(*net.raw_driver), loads)
+        built = _make_net(net.name, net.raw_driver, net.raw_loads)
+        for record in (constructed, built, read):
+            assert type(record.raw_driver) is tuple and all(type(ep) is tuple for ep in record.raw_loads)
+            assert record == net and hash(record) == hash(net) and repr(record) == repr(net)
+            assert record.loads == loads and all(type(ep) is Endpoint for ep in record.loads)
+            assert type(record.driver) is Endpoint
+            assert repr(record).startswith(f"Net(name='{net.name}', driver=Endpoint(")
+            moved = replace(record, loads=loads[::-1])
+            assert moved.loads == loads[::-1] and moved.raw_driver == net.raw_driver
+            assert (moved == net) == (loads == loads[::-1])
+            assert pickle.loads(pickle.dumps(record)) == record
+            with pytest.raises(FrozenInstanceError):
+                record.name = "renamed"
     assert pickle.loads(pickle.dumps(design)) == design
-    assert parse_design(*serialize_design(design)) == design
+    assert parsed == design
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cell_instance_keeps_the_dataclass_api(seed):
+    design = random_fixed_design(random.Random(seed))
+    parsed = parse_design(*serialize_design(design))
+    names = ["name", "kind", "island", "cap_ff", "gate_count", "has_sleep_pin"]
+    assert [f.name for f in fields(CellInstance)] == names
+    for cell, read in zip(design.cells, parsed.cells):
+        built = _make_cell(cell.name, cell.kind, cell.island, cell.cap_ff, cell.gate_count, cell.has_sleep_pin)
+        for record in (built, read):
+            assert record == cell and hash(record) == hash(cell) and repr(record) == repr(cell)
+            assert [getattr(record, name) for name in names] == [getattr(cell, name) for name in names]
+            assert replace(record, has_sleep_pin=True) == replace(cell, has_sleep_pin=True)
+            assert pickle.loads(pickle.dumps(record)) == record
+            with pytest.raises(FrozenInstanceError):
+                record.island = "elsewhere"
+    # the sleep-pin pass flags cells through the builder
+    for cell in insert_sleep_pins(design).cells:
+        assert cell == CellInstance(cell.name, cell.kind, cell.island, cell.cap_ff, cell.gate_count, cell.has_sleep_pin)
+    assert pickle.loads(pickle.dumps(parsed)) == parsed
 
 
 def test_sleep_attribute_roundtrips():
