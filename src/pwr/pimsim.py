@@ -6,11 +6,23 @@ sleep-gate bias (slpb_bias_on).  Entering sleep runs iso-on, save, bias-on;
 leaving runs bias-off, restore, iso-off.  With the default 20 ns per step
 each direction takes 60 ns.  Register writes that land mid-transition are
 latched and honored once the transition completes.
+
+A `PimState` holds only the config, the FSM state, the latched sleep
+request, the current time and the deadline of the in-flight step.  The
+three signals are a function of the FSM state (`_SIGNALS`), read through
+properties, so they cannot disagree with it.  One step table (`_STEPS`)
+drives the controller: for each in-flight state, the events its completion
+fires, the state it moves to and the `PimConfig` field that times the next
+step.  Landing in ACTIVE or SLEEP re-examines the latched request
+(`_LEAVE`).  Each completed step builds one new `PimState`.
+`pim_advance`, `pim_write_sleep` and `pim_read_status` are the only
+implementation of the FSM; `pim_run_script` loops over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .netlist import ParseError, _float, _token_lines
@@ -45,8 +57,9 @@ class PimConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.name.startswith("t_") and getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if f.name.startswith("t_") and not 0 <= value < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
     @property
     def entry_ns(self) -> float:
@@ -74,20 +87,60 @@ class PimStatus(str, Enum):
     SLEEPING = "sleeping"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PimState:
     config: PimConfig
     fsm: PimFsm = PimFsm.ACTIVE
-    iso: bool = False
-    slpb_bias_on: bool = False
-    ret_saved: bool = False
-    sleep_request: bool = False
+    sleep_request: bool = False  # the latched register value
     now: float = 0.0
     deadline: float | None = None  # absolute time the in-flight step completes
 
     @property
+    def iso(self) -> bool:
+        return _SIGNALS[self.fsm][0]
+
+    @property
+    def slpb_bias_on(self) -> bool:
+        return _SIGNALS[self.fsm][1]
+
+    @property
+    def ret_saved(self) -> bool:
+        return _SIGNALS[self.fsm][2]
+
+    @property
     def status_ready(self) -> bool:
         return self.fsm is PimFsm.ACTIVE
+
+
+# fsm -> (iso, slpb_bias_on, ret_saved) asserted in that state.
+_SIGNALS = {
+    PimFsm.ACTIVE: (False, False, False),
+    PimFsm.ISO_ON: (False, False, False),
+    PimFsm.SAVING: (True, False, False),
+    PimFsm.BIAS_ON: (True, False, True),
+    PimFsm.SLEEP: (True, True, True),
+    PimFsm.BIAS_OFF: (True, True, True),
+    PimFsm.RESTORING: (True, False, True),
+    PimFsm.ISO_OFF: (True, False, False),
+}
+
+# In-flight fsm -> (events fired when its step completes, next fsm,
+# PimConfig field that times the next step, or None on landing at rest).
+_STEPS = {
+    PimFsm.ISO_ON: (("ISO=1",), PimFsm.SAVING, "t_save"),
+    PimFsm.SAVING: (("SAVE_DONE",), PimFsm.BIAS_ON, "t_bias_on"),
+    PimFsm.BIAS_ON: (("BIAS=1",), PimFsm.SLEEP, None),
+    PimFsm.BIAS_OFF: (("BIAS=0",), PimFsm.RESTORING, "t_restore"),
+    PimFsm.RESTORING: (("RESTORE_DONE",), PimFsm.ISO_OFF, "t_iso_off"),
+    PimFsm.ISO_OFF: (("ISO=0", "STATUS=ready"), PimFsm.ACTIVE, None),
+}
+
+# At-rest fsm -> (request that leaves it, fsm it starts, PimConfig field
+# that times that first step).
+_LEAVE = {
+    PimFsm.ACTIVE: (True, PimFsm.ISO_ON, "t_iso_on"),
+    PimFsm.SLEEP: (False, PimFsm.BIAS_OFF, "t_bias_off"),
+}
 
 
 @dataclass(frozen=True)
@@ -122,12 +175,13 @@ def pim_read_status(state: PimState) -> PimStatus:
     return PimStatus.BUSY
 
 
-def _begin_entry(state: PimState) -> PimState:
-    return replace(state, fsm=PimFsm.ISO_ON, deadline=state.now + state.config.t_iso_on)
-
-
-def _begin_exit(state: PimState) -> PimState:
-    return replace(state, fsm=PimFsm.BIAS_OFF, deadline=state.now + state.config.t_bias_off)
+def _land(config: PimConfig, fsm: PimFsm, request: bool, t: float) -> PimState:
+    """The state on coming to rest in ACTIVE or SLEEP at time t: a latched
+    request that disagrees with the rest state starts the next sequence."""
+    leave_on, start, timer = _LEAVE[fsm]
+    if request == leave_on:
+        return PimState(config, start, request, t, t + getattr(config, timer))
+    return PimState(config, fsm, request, t, None)
 
 
 def pim_write_sleep(state: PimState, value: bool | None = None) -> PimState:
@@ -137,7 +191,8 @@ def pim_write_sleep(state: PimState, value: bool | None = None) -> PimState:
     the request.  A write mid-transition only updates the latched request,
     which is re-examined when the transition lands in SLEEP or ACTIVE.
     """
-    if state.config.explicit_bit:
+    config = state.config
+    if config.explicit_bit:
         if value is None:
             raise ValueError("explicit_bit mode requires a written value")
         request = bool(value)
@@ -145,56 +200,32 @@ def pim_write_sleep(state: PimState, value: bool | None = None) -> PimState:
         if value is not None:
             raise ValueError("toggle mode takes no written value")
         request = not state.sleep_request
-    state = replace(state, sleep_request=request)
-    if state.fsm is PimFsm.ACTIVE and request:
-        return _begin_entry(state)
-    if state.fsm is PimFsm.SLEEP and not request:
-        return _begin_exit(state)
-    return state
+    if state.deadline is None:
+        return _land(config, state.fsm, request, state.now)
+    return PimState(config, state.fsm, request, state.now, state.deadline)
 
 
-def _complete_step(state: PimState) -> tuple[PimState, list[tuple[float, str]]]:
-    t = state.deadline
-    assert t is not None
-    cfg = state.config
-    events: list[tuple[float, str]]
-    if state.fsm is PimFsm.ISO_ON:
-        state = replace(state, now=t, iso=True, fsm=PimFsm.SAVING, deadline=t + cfg.t_save)
-        events = [(t, "ISO=1")]
-    elif state.fsm is PimFsm.SAVING:
-        state = replace(state, now=t, ret_saved=True, fsm=PimFsm.BIAS_ON, deadline=t + cfg.t_bias_on)
-        events = [(t, "SAVE_DONE")]
-    elif state.fsm is PimFsm.BIAS_ON:
-        state = replace(state, now=t, slpb_bias_on=True, fsm=PimFsm.SLEEP, deadline=None)
-        events = [(t, "BIAS=1")]
-        if not state.sleep_request:  # latched wake-up request
-            state = _begin_exit(state)
-    elif state.fsm is PimFsm.BIAS_OFF:
-        state = replace(state, now=t, slpb_bias_on=False, fsm=PimFsm.RESTORING, deadline=t + cfg.t_restore)
-        events = [(t, "BIAS=0")]
-    elif state.fsm is PimFsm.RESTORING:
-        state = replace(state, now=t, ret_saved=False, fsm=PimFsm.ISO_OFF, deadline=t + cfg.t_iso_off)
-        events = [(t, "RESTORE_DONE")]
-    elif state.fsm is PimFsm.ISO_OFF:
-        state = replace(state, now=t, iso=False, fsm=PimFsm.ACTIVE, deadline=None)
-        events = [(t, "ISO=0"), (t, "STATUS=ready")]
-        if state.sleep_request:  # latched sleep request
-            state = _begin_entry(state)
-    else:  # pragma: no cover - ACTIVE/SLEEP never hold a deadline
-        raise AssertionError(f"no step to complete in {state.fsm}")
-    return state, events
+def _complete_step(state: PimState) -> tuple[PimState, tuple[str, ...]]:
+    """The state once the in-flight step completes at its deadline, and the
+    events that completion fires."""
+    fired, fsm, timer = _STEPS[state.fsm]
+    config, t = state.config, state.deadline
+    if timer is None:
+        return _land(config, fsm, state.sleep_request, t), fired
+    return PimState(config, fsm, state.sleep_request, t, t + getattr(config, timer)), fired
 
 
 def pim_advance(state: PimState, dt: float) -> tuple[PimState, list[tuple[float, str]]]:
     """Advance simulated time by dt, firing every transition that falls due."""
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
+    if not 0.0 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and >= 0, got {dt}")
     end = state.now + dt
     events: list[tuple[float, str]] = []
     while state.deadline is not None and state.deadline <= end:
-        state, step_events = _complete_step(state)
-        events.extend(step_events)
-    return replace(state, now=end), events
+        t = state.deadline
+        state, fired = _complete_step(state)
+        events += [(t, event) for event in fired]
+    return PimState(state.config, state.fsm, state.sleep_request, end, state.deadline), events
 
 
 def pim_run_script(config: PimConfig | None, script: tuple[ScriptCommand, ...] | list[ScriptCommand]) -> Trace:
@@ -241,20 +272,35 @@ def parse_script(text: str) -> tuple[ScriptCommand, ...]:
 # VCD emission
 
 _VCD_VARS = (("iso", "!"), ("slpb_bias_on", '"'), ("ret_saved", "#"))
-_EVENT_TO_SIGNAL = {
-    "ISO=1": ("iso", 1),
-    "ISO=0": ("iso", 0),
-    "BIAS=1": ("slpb_bias_on", 1),
-    "BIAS=0": ("slpb_bias_on", 0),
-    "SAVE_DONE": ("ret_saved", 1),
-    "RESTORE_DONE": ("ret_saved", 0),
+# event -> the value change it writes: new bit, then the signal's VCD id
+_EVENT_TO_CHANGE = {
+    "ISO=1": "1!",
+    "ISO=0": "0!",
+    "BIAS=1": '1"',
+    "BIAS=0": '0"',
+    "SAVE_DONE": "1#",
+    "RESTORE_DONE": "0#",
 }
+# VCD time units, coarsest first, with the number of units per ns
+_TIMESCALES = (("1ns", 1), ("100ps", 10), ("10ps", 100), ("1ps", 1000))
+
+
+def _timescale(times: list[float]) -> tuple[str, int]:
+    """The coarsest unit in which every time is a whole number of units, to
+    1e-9 relative; 1ps, with times rounded, when none is."""
+    if all(map(float.is_integer, map(float, times))):  # whole ns, tested at C speed
+        return _TIMESCALES[0]
+    for unit, per_ns in _TIMESCALES:
+        if all(abs(x - round(x)) <= 1e-9 * x for x in [t * per_ns for t in times]):
+            return unit, per_ns
+    return _TIMESCALES[-1]
 
 
 def trace_to_vcd(trace: Trace) -> str:
-    """Minimal value-change dump of the three controller signals, 1 ns timescale."""
-    ids = dict(_VCD_VARS)
-    lines = ["$timescale 1ns $end", "$scope module pim $end"]
+    """Minimal value-change dump of the three controller signals, in the
+    coarsest timescale that keeps every event time exact."""
+    unit, per_ns = _timescale([t for t, event in trace.events if event in _EVENT_TO_CHANGE])
+    lines = [f"$timescale {unit} $end", "$scope module pim $end"]
     lines += [f"$var wire 1 {vid} {name} $end" for name, vid in _VCD_VARS]
     lines += ["$upscope $end", "$enddefinitions $end", "$dumpvars"]
     lines += [f"0{vid}" for _, vid in _VCD_VARS]
@@ -262,13 +308,12 @@ def trace_to_vcd(trace: Trace) -> str:
 
     last_time: int | None = None
     for t, event in trace.events:
-        change = _EVENT_TO_SIGNAL.get(event)
+        change = _EVENT_TO_CHANGE.get(event)
         if change is None:
             continue
-        time = int(round(t))
+        time = int(round(t * per_ns))
         if time != last_time:
             lines.append(f"#{time}")
             last_time = time
-        name, bit = change
-        lines.append(f"{bit}{ids[name]}")
+        lines.append(change)
     return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from pwr.crossings import CrossingIssue, IssueKind
 from pwr.netlist import (
@@ -29,7 +29,7 @@ from pwr.netlist import (
     _statements,
     _token_lines,
 )
-from pwr.pimsim import ScriptCommand, Trace
+from pwr.pimsim import PimConfig, PimFsm, PimStatus, ScriptCommand, Trace
 from pwr.power import DynamicPowerParams, LeakageModel, leakage_current_per_gate
 
 VOLTAGES = (0.8, 1.0, 1.2)
@@ -244,6 +244,117 @@ def reference_static_w(
         else:
             rows.append((gates * i_awake * island.vdd, 0.0))
     return rows
+
+
+@dataclass(frozen=True)
+class ReferencePimState:
+    """The controller state as eight stored fields, signals included."""
+
+    config: PimConfig
+    fsm: PimFsm = PimFsm.ACTIVE
+    iso: bool = False
+    slpb_bias_on: bool = False
+    ret_saved: bool = False
+    sleep_request: bool = False
+    now: float = 0.0
+    deadline: float | None = None
+
+
+def reference_pim_read_status(state: ReferencePimState) -> PimStatus:
+    if state.fsm is PimFsm.ACTIVE:
+        return PimStatus.READY
+    if state.fsm is PimFsm.SLEEP:
+        return PimStatus.SLEEPING
+    return PimStatus.BUSY
+
+
+def _reference_begin_entry(state: ReferencePimState) -> ReferencePimState:
+    return replace(state, fsm=PimFsm.ISO_ON, deadline=state.now + state.config.t_iso_on)
+
+
+def _reference_begin_exit(state: ReferencePimState) -> ReferencePimState:
+    return replace(state, fsm=PimFsm.BIAS_OFF, deadline=state.now + state.config.t_bias_off)
+
+
+def reference_pim_write_sleep(state: ReferencePimState, value: bool | None = None) -> ReferencePimState:
+    if state.config.explicit_bit:
+        if value is None:
+            raise ValueError("explicit_bit mode requires a written value")
+        request = bool(value)
+    else:
+        if value is not None:
+            raise ValueError("toggle mode takes no written value")
+        request = not state.sleep_request
+    state = replace(state, sleep_request=request)
+    if state.fsm is PimFsm.ACTIVE and request:
+        return _reference_begin_entry(state)
+    if state.fsm is PimFsm.SLEEP and not request:
+        return _reference_begin_exit(state)
+    return state
+
+
+def _reference_complete_step(state: ReferencePimState) -> tuple[ReferencePimState, list[tuple[float, str]]]:
+    t = state.deadline
+    assert t is not None
+    cfg = state.config
+    if state.fsm is PimFsm.ISO_ON:
+        state = replace(state, now=t, iso=True, fsm=PimFsm.SAVING, deadline=t + cfg.t_save)
+        events = [(t, "ISO=1")]
+    elif state.fsm is PimFsm.SAVING:
+        state = replace(state, now=t, ret_saved=True, fsm=PimFsm.BIAS_ON, deadline=t + cfg.t_bias_on)
+        events = [(t, "SAVE_DONE")]
+    elif state.fsm is PimFsm.BIAS_ON:
+        state = replace(state, now=t, slpb_bias_on=True, fsm=PimFsm.SLEEP, deadline=None)
+        events = [(t, "BIAS=1")]
+        if not state.sleep_request:
+            state = _reference_begin_exit(state)
+    elif state.fsm is PimFsm.BIAS_OFF:
+        state = replace(state, now=t, slpb_bias_on=False, fsm=PimFsm.RESTORING, deadline=t + cfg.t_restore)
+        events = [(t, "BIAS=0")]
+    elif state.fsm is PimFsm.RESTORING:
+        state = replace(state, now=t, ret_saved=False, fsm=PimFsm.ISO_OFF, deadline=t + cfg.t_iso_off)
+        events = [(t, "RESTORE_DONE")]
+    elif state.fsm is PimFsm.ISO_OFF:
+        state = replace(state, now=t, iso=False, fsm=PimFsm.ACTIVE, deadline=None)
+        events = [(t, "ISO=0"), (t, "STATUS=ready")]
+        if state.sleep_request:
+            state = _reference_begin_entry(state)
+    else:
+        raise AssertionError(f"no step to complete in {state.fsm}")
+    return state, events
+
+
+def reference_pim_advance(state: ReferencePimState, dt: float) -> tuple[ReferencePimState, list[tuple[float, str]]]:
+    if dt < 0:
+        raise ValueError(f"dt must be >= 0, got {dt}")
+    end = state.now + dt
+    events: list[tuple[float, str]] = []
+    while state.deadline is not None and state.deadline <= end:
+        state, step_events = _reference_complete_step(state)
+        events.extend(step_events)
+    return replace(state, now=end), events
+
+
+def reference_pim_run_script(
+    config: PimConfig | None, script: tuple[ScriptCommand, ...] | list[ScriptCommand]
+) -> Trace:
+    """The controller as six ``replace``-based branches, one ``replace`` per
+    changed field set; `pimsim.pim_run_script` must give the same events."""
+    state = ReferencePimState(config or PimConfig())
+    events: list[tuple[float, str]] = []
+    for command in script:
+        if command.time_ns < state.now:
+            raise ValueError(f"script times must be non-decreasing (got {command.time_ns:g} ns)")
+        state, due = reference_pim_advance(state, command.time_ns - state.now)
+        events.extend(due)
+        if command.op == "write_sleep":
+            state = reference_pim_write_sleep(state, command.value)
+            events.append((state.now, "WRITE_SLEEP"))
+        elif command.op == "read_status":
+            events.append((state.now, f"STATUS={reference_pim_read_status(state).value}"))
+        else:
+            raise ValueError(f"unknown script command '{command.op}'")
+    return Trace(tuple(events))
 
 
 def random_script(rng: random.Random, max_commands: int = 8) -> tuple[ScriptCommand, ...]:

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_trace_safety, random_script
+from helpers import (
+    ReferencePimState,
+    check_trace_safety,
+    random_script,
+    reference_pim_advance,
+    reference_pim_run_script,
+    reference_pim_write_sleep,
+)
 from pwr.netlist import ParseError
 from pwr.pimsim import (
     PimConfig,
@@ -37,6 +44,17 @@ def test_zero_step_config_still_starts_ready():
 def test_negative_step_time_rejected():
     with pytest.raises(ValueError, match="t_save"):
         PimConfig(t_save=-1)
+
+
+def test_nan_step_time_rejected():
+    # a NaN deadline never falls due, so the controller would stay busy forever
+    with pytest.raises(ValueError, match="t_save must be finite"):
+        PimConfig(t_save=float("nan"))
+
+
+def test_infinite_step_time_rejected():
+    with pytest.raises(ValueError, match="t_iso_on must be finite"):
+        PimConfig(t_iso_on=float("inf"))
 
 
 def test_write_starts_entry_and_drops_ready():
@@ -79,6 +97,11 @@ def test_advance_59ns_leaves_bias_pending():
 def test_advance_rejects_negative_dt():
     with pytest.raises(ValueError):
         pim_advance(pim_new(), -1.0)
+
+
+def test_advance_rejects_nan_dt():
+    with pytest.raises(ValueError, match="dt must be finite"):
+        pim_advance(pim_new(), float("nan"))
 
 
 def test_read_status_three_values():
@@ -215,6 +238,14 @@ def test_vcd_emission():
     assert vcd.count("$var wire 1") == 3
 
 
+def test_vcd_timescale_keeps_sub_ns_steps_apart():
+    script = [ScriptCommand(0.0, "write_sleep"), ScriptCommand(5.0, "read_status")]
+    trace = pim_run_script(PimConfig(*[0.4] * 6), script)
+    vcd = trace_to_vcd(trace)
+    assert vcd.startswith("$timescale 100ps $end\n")
+    assert vcd.endswith("#4\n1!\n#8\n1#\n#12\n1\"\n")
+
+
 # -- properties -------------------------------------------------------------------
 
 
@@ -238,3 +269,74 @@ def test_liveness_with_final_runout(seed):
     script.append(ScriptCommand(end, "read_status"))
     trace = pim_run_script(PimConfig(), script)
     assert trace.events[-1] == (end, "STATUS=ready")
+
+
+# -- the step table against the replace-based reference ----------------------------
+
+_STEP_NS = st.sampled_from([0.0, 0.1, 0.4, 0.5, 1.0, 2.5, 7.0, 20.0])
+
+
+@st.composite
+def configs_and_scripts(draw):
+    """Unequal step times (zero and fractional among them) and scripts whose
+    times coincide or land exactly on step deadlines; a few commands carry
+    a value of the wrong register mode, an unknown op or a time that goes back."""
+    steps = [draw(_STEP_NS) for _ in range(6)]
+    config = PimConfig(*steps, explicit_bit=draw(st.booleans()))
+    gap = st.one_of(
+        st.just(0.0),
+        st.sampled_from(steps),
+        st.sampled_from([config.entry_ns, config.exit_ns, steps[0] + steps[1]]),
+        st.floats(0.0, 50.0),
+        st.just(-0.5),
+    )
+    values = [True, False] * 3 + [None] if config.explicit_bit else [None] * 6 + [True]
+    t, script = 0.0, []
+    for _ in range(draw(st.integers(0, 14))):
+        t += draw(gap)
+        op = draw(st.sampled_from(["write_sleep"] * 4 + ["read_status"] * 3 + ["jump"]))
+        script.append(ScriptCommand(t, op, draw(st.sampled_from(values)) if op == "write_sleep" else None))
+    return config, script
+
+
+def _outcome(run, config, script):
+    try:
+        return run(config, script).events
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(configs_and_scripts())
+def test_run_script_matches_reference(case):
+    config, script = case
+    assert _outcome(pim_run_script, config, script) == _outcome(reference_pim_run_script, config, script)
+
+
+def _assert_same_state(state, ref):
+    assert (state.fsm, state.sleep_request, state.now, state.deadline) == (
+        ref.fsm, ref.sleep_request, ref.now, ref.deadline,
+    )
+    assert (state.iso, state.slpb_bias_on, state.ret_saved) == (ref.iso, ref.slpb_bias_on, ref.ret_saved)
+    assert state.status_ready == (ref.fsm is PimFsm.ACTIVE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs_and_scripts())
+def test_derived_signals_match_reference_states(case):
+    config, script = case
+    state, ref = pim_new(config), ReferencePimState(config)
+    for command in script:
+        if command.time_ns < state.now or command.op == "jump":
+            break
+        state, events = pim_advance(state, command.time_ns - state.now)
+        ref, ref_events = reference_pim_advance(ref, command.time_ns - ref.now)
+        assert events == ref_events
+        _assert_same_state(state, ref)
+        if command.op == "write_sleep":
+            try:
+                state = pim_write_sleep(state, command.value)
+            except ValueError:
+                break
+            ref = reference_pim_write_sleep(ref, command.value)
+            _assert_same_state(state, ref)
