@@ -15,12 +15,12 @@ from .netlist import (  # noqa: F401
     CharRow,
     CharTable,
     Design,
-    DesignError,
     Endpoint,
     Island,
     Net,
     ParseError,
     Port,
+    Violation,
     parse_activity,
     parse_characterization,
     parse_design,
@@ -30,7 +30,6 @@ from .netlist import (  # noqa: F401
 from .crossings import (  # noqa: F401
     CrossingIssue,
     IssueKind,
-    Violation,
     analyze_crossings,
     apply_power_fixes,
     insert_sleep_pins,
@@ -47,7 +46,6 @@ from .power import (  # noqa: F401
     LeakageModel,
     PowerReport,
     Severity,
-    calibrated_reduction_factor,
     dynamic_power,
     fit_subthreshold_slope,
     leakage_bias_sweep,
@@ -59,7 +57,6 @@ from .power import (  # noqa: F401
 )
 from .voltage import (  # noqa: F401
     InfeasibleError,
-    OperatingPoint,
     SavingsReport,
     SavingsRow,
     VoltagePlan,

@@ -27,6 +27,7 @@ from .netlist import (
     Design,
     Net,
     Port,
+    Violation,
     _make_cell,
     _make_net,
 )
@@ -67,16 +68,6 @@ class CrossingIssue:
             f"net leaves switchable island '{self.driver_island}' toward '{self.receiver_island}'"
             " with no isolation cell on the path"
         )
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "crossing" | "missing_sleep_pin"
-    subject: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind} {self.subject}: {self.detail}"
 
 
 def analyze_crossings(design: Design, assume_transmission_gates: bool = False) -> list[CrossingIssue]:

@@ -67,7 +67,7 @@ __all__ = [
     "Port",
     "Design",
     "Topology",
-    "DesignError",
+    "Violation",
     "ActivityProfile",
     "CharRow",
     "CharTable",
@@ -408,15 +408,16 @@ class Design:
 
 
 @dataclass(frozen=True)
-class DesignError:
-    """One broken design invariant, attached to the offending object."""
+class Violation:
+    """One finding on a named object: a broken design invariant (``kind`` is
+    its category, e.g. ``"cell"``) or an open power-intent rule."""
 
-    category: str
-    name: str
-    rule: str
+    kind: str
+    subject: str
+    detail: str
 
     def __str__(self) -> str:
-        return f"{self.category} {self.name}: {self.rule}"
+        return f"{self.kind} {self.subject}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -437,12 +438,13 @@ class ActivityProfile:
 
 @dataclass(frozen=True)
 class CharRow:
-    """One measured operating point of an island class."""
+    """One operating point of an island class: a measured row, or a pinned
+    supply that no row covers (no fmax or area, cap_factor 1)."""
 
     island_class: str
     vdd: float
-    fmax_mhz: float
-    area_um2: float
+    fmax_mhz: float | None
+    area_um2: float | None
     cap_factor: float  # switched-capacitance ratio vs the baseline library
 
 
@@ -762,11 +764,11 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
             yield "net", i, "no loads and not a top-level output"
 
 
-def _design_error(design: Design, category: str, index: int, rule: str) -> DesignError:
-    return DesignError(category, getattr(design, category + "s")[index].name, rule)
+def _design_error(design: Design, category: str, index: int, rule: str) -> Violation:
+    return Violation(category, getattr(design, category + "s")[index].name, rule)
 
 
-def validate_design(design: Design) -> list[DesignError]:
+def validate_design(design: Design) -> list[Violation]:
     """Check every design invariant; empty result means the design is sound."""
     return [_design_error(design, *fault) for fault in _design_faults(design)]
 
@@ -805,6 +807,8 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
     merge as consecutive observation windows.  Activity is capped at
     SA_MAX; nets missing from the file default to zero when queried.
     """
+    if not math.isfinite(f_clk_mhz):
+        raise ValueError(f"f_clk_mhz must be finite, got {f_clk_mhz}")
     if f_clk_mhz <= 0:
         raise ValueError(f"f_clk_mhz must be positive, got {f_clk_mhz}")
     known = design.nets_by_name() if design is not None else None

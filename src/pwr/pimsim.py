@@ -107,10 +107,6 @@ class PimState:
     def ret_saved(self) -> bool:
         return _SIGNALS[self.fsm][2]
 
-    @property
-    def status_ready(self) -> bool:
-        return self.fsm is PimFsm.ACTIVE
-
 
 # fsm -> (iso, slpb_bias_on, ret_saved) asserted in that state.
 _SIGNALS = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -44,7 +44,6 @@ __all__ = [
     "fit_subthreshold_slope",
     "static_power",
     "power_report",
-    "calibrated_reduction_factor",
     "parse_calibration",
 ]
 
@@ -57,6 +56,8 @@ class DynamicPowerParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.k <= 1.0:
             raise ValueError(f"k must be within [0, 1], got {self.k}")
+        if not math.isfinite(self.f_clk_mhz):
+            raise ValueError(f"f_clk_mhz must be finite, got {self.f_clk_mhz}")
         if self.f_clk_mhz <= 0:
             raise ValueError(f"f_clk_mhz must be positive, got {self.f_clk_mhz}")
 
@@ -72,6 +73,9 @@ class LeakageModel:
     bias_v: float = -0.3
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(value := getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.i0_per_gate_25c <= 0:
             raise ValueError("i0_per_gate_25c must be positive")
         if self.slope_mv_per_decade <= 0:
@@ -100,6 +104,8 @@ def theoretical_reduction(v_from: float, v_to: float) -> float:
 def leakage_current_per_gate(v_slp_v: float, temp_c: float = 25.0, model: LeakageModel | None = None) -> float:
     """Per-gate leakage in amperes at the given sleep-gate bias and temperature."""
     model = model or LeakageModel()
+    if not (math.isfinite(v_slp_v) and math.isfinite(temp_c)):
+        raise ValueError(f"bias and temperature must be finite, got {v_slp_v} V, {temp_c} C")
     if v_slp_v > 0:
         raise ValueError(f"sleep-gate bias must be <= 0 V, got {v_slp_v}")
     temp_factor = 2.0 ** ((temp_c - 25.0) / model.temp_doubling_c)
@@ -215,15 +221,6 @@ DEFAULT_CALIBRATION = CalibrationTable((
     CalibrationEntry("sram", 125, "model", 8.1),
     CalibrationEntry("sram", 125, "silicon", 10.0),
 ))
-
-
-def calibrated_reduction_factor(
-    device_class: str,
-    temp_c: float,
-    source: str,
-    table: CalibrationTable | None = None,
-) -> float:
-    return (table or DEFAULT_CALIBRATION).factor(device_class, temp_c, source)
 
 
 def parse_calibration(text: str) -> CalibrationTable:

@@ -11,7 +11,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .crossings import Violation
+from .netlist import Violation
 from .power import LEAKAGE_MECHANISMS, LeakageModel, PowerReport, leakage_bias_sweep
 from .voltage import SavingsReport, VoltagePlan
 

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .crossings import IssueKind, analyze_crossings
-from .netlist import ActivityProfile, CharTable, Design
+from .netlist import ActivityProfile, CharRow, CharTable, Design
 from .power import DynamicPowerParams, dynamic_power
 
 __all__ = [
-    "OperatingPoint",
     "VoltagePlan",
     "SavingsRow",
     "SavingsReport",
@@ -41,25 +40,16 @@ class InfeasibleError(Exception):
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    island_class: str
-    vdd: float
-    fmax_mhz: float | None
-    area_um2: float | None
-    cap_factor: float
-
-
-@dataclass(frozen=True)
 class VoltagePlan:
     """Chosen per-island operating points plus the retargeted design copy."""
 
-    choices: Mapping[str, OperatingPoint]
+    choices: Mapping[str, CharRow]
     f_req_mhz: Mapping[str, float | None]
     baseline_v: float
-    baseline_points: Mapping[str, OperatingPoint | None]
+    baseline_points: Mapping[str, CharRow | None]
     retargeted: Design
 
-    def point(self, island: str) -> OperatingPoint:
+    def point(self, island: str) -> CharRow:
         try:
             return self.choices[island]
         except KeyError:
@@ -92,7 +82,7 @@ class SavingsReport:
         return 100.0 * (1.0 - self.planned_dynamic_w / self.baseline_dynamic_w)
 
 
-def select_min_voltage(table: CharTable, island_class: str, f_req_mhz: float) -> OperatingPoint:
+def select_min_voltage(table: CharTable, island_class: str, f_req_mhz: float) -> CharRow:
     """Lowest-voltage operating point that still meets f_req; ties fall to
     the smaller area.  Independent of table row order."""
     rows = table.rows_for(island_class)
@@ -101,15 +91,7 @@ def select_min_voltage(table: CharTable, island_class: str, f_req_mhz: float) ->
     feasible = [r for r in rows if r.fmax_mhz >= f_req_mhz]
     if not feasible:
         raise InfeasibleError(island_class, f_req_mhz, max(r.fmax_mhz for r in rows))
-    best = min(feasible, key=lambda r: (r.vdd, r.area_um2))
-    return OperatingPoint(best.island_class, best.vdd, best.fmax_mhz, best.area_um2, best.cap_factor)
-
-
-def _pinned_point(table: CharTable, island_class: str, vdd: float) -> OperatingPoint:
-    row = table.row(island_class, vdd)
-    if row is not None:
-        return OperatingPoint(row.island_class, row.vdd, row.fmax_mhz, row.area_um2, row.cap_factor)
-    return OperatingPoint(island_class, vdd, None, None, 1.0)
+    return min(feasible, key=lambda r: (r.vdd, r.area_um2))
 
 
 def assign_voltages(
@@ -132,12 +114,13 @@ def assign_voltages(
         if name not in islands:
             raise ValueError(f"unknown island '{name}'")
 
-    choices: dict[str, OperatingPoint] = {}
+    choices: dict[str, CharRow] = {}
     freqs: dict[str, float | None] = {}
-    baseline_points: dict[str, OperatingPoint | None] = {}
+    baseline_points: dict[str, CharRow | None] = {}
     for island in design.islands:
         if island.name in pinned:
-            choices[island.name] = _pinned_point(table, island.name, pinned[island.name])
+            vdd = pinned[island.name]
+            choices[island.name] = table.row(island.name, vdd) or CharRow(island.name, vdd, None, None, 1.0)
             freqs[island.name] = f_req_mhz.get(island.name)
         elif island.name in f_req_mhz:
             choices[island.name] = select_min_voltage(table, island.name, f_req_mhz[island.name])
@@ -146,12 +129,7 @@ def assign_voltages(
             raise ValueError(
                 f"island '{island.name}' has neither a frequency requirement nor a pinned voltage"
             )
-        row = table.row(island.name, baseline_v)
-        baseline_points[island.name] = (
-            OperatingPoint(row.island_class, row.vdd, row.fmax_mhz, row.area_um2, row.cap_factor)
-            if row is not None
-            else None
-        )
+        baseline_points[island.name] = table.row(island.name, baseline_v)
 
     retargeted = design.with_supplies({name: point.vdd for name, point in choices.items()})
     return VoltagePlan(choices, freqs, baseline_v, baseline_points, retargeted)
@@ -169,8 +147,15 @@ def power_savings_summary(
     actual = 1 - cap_factor * (vdd / baseline)^2, which trails the pure-V^2
     theoretical bound whenever the slower library costs extra capacitance
     (cap_factor > 1).  Area deltas come from the raw characterized areas.
+    ``baseline_v`` and ``design`` must be the plan's own baseline and design.
     """
-    issues = analyze_crossings(plan.retargeted)
+    if baseline_v != plan.baseline_v:
+        raise ValueError(f"baseline_v {baseline_v:g} V differs from the plan's {plan.baseline_v:g} V")
+    planned = plan.retargeted
+    for mine, theirs in ((design.cells, planned.cells), (design.nets, planned.nets)):
+        if mine is not theirs and mine != theirs:
+            raise ValueError("design differs from the one the plan was built for")
+    issues = analyze_crossings(planned)
     shifters = Counter(i.receiver_island for i in issues if i.kind is IssueKind.NEEDS_LEVEL_SHIFTER)
     isolations = Counter(i.receiver_island for i in issues if i.kind is IssueKind.NEEDS_ISOLATION)
 

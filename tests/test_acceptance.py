@@ -12,11 +12,11 @@ from pwr.crossings import IssueKind, analyze_crossings, apply_power_fixes
 from pwr.netlist import ActivityProfile, parse_characterization, parse_design, validate_design
 from pwr.pimsim import PimConfig, pim_advance, pim_new, pim_run_script, pim_write_sleep
 from pwr.power import (
+    DEFAULT_CALIBRATION,
     LEAKAGE_MECHANISMS,
     DynamicPowerParams,
     LeakageModel,
     Severity,
-    calibrated_reduction_factor,
     fit_subthreshold_slope,
     leakage_current_per_gate,
     static_power,
@@ -80,8 +80,8 @@ def test_criterion_4_calibration_lookups():
         ("sram", 125, "silicon"): 10.0,
     }
     for key, factor in expected.items():
-        assert calibrated_reduction_factor(*key) == factor
-    reduced = 719e-6 / calibrated_reduction_factor("sram", 125, "silicon")
+        assert DEFAULT_CALIBRATION.factor(*key) == factor
+    reduced = 719e-6 / DEFAULT_CALIBRATION.factor("sram", 125, "silicon")
     assert abs(reduced - 71.5e-6) / 71.5e-6 <= 0.01
     _report(4, "all six factors exact; 719 uA / 10.0 = 71.9 uA, within 1% of 71.5 uA")
 

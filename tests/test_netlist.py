@@ -428,6 +428,12 @@ def test_activity_errors():
         parse_activity("net a toggles=1 duration_ns=0\n", 100.0)
 
 
+@pytest.mark.parametrize("f_clk_mhz", (math.nan, math.inf))
+def test_activity_rejects_non_finite_clock(f_clk_mhz):
+    with pytest.raises(ValueError, match="f_clk_mhz must be finite"):
+        parse_activity("net a toggles=1 duration_ns=10\n", f_clk_mhz)
+
+
 def test_activity_unknown_net_with_design(soc3):
     with pytest.raises(ParseError, match="unknown net 'nope'"):
         parse_activity("net nope toggles=1 duration_ns=10\n", 100.0, design=soc3)

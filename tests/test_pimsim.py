@@ -31,14 +31,14 @@ from pwr.pimsim import (
 def test_fresh_state_is_active_and_ready():
     state = pim_new()
     assert state.fsm is PimFsm.ACTIVE
-    assert state.status_ready
+    assert pim_read_status(state) is PimStatus.READY
     assert not (state.iso or state.slpb_bias_on or state.ret_saved)
     assert state.now == 0.0
 
 
 def test_zero_step_config_still_starts_ready():
     state = pim_new(PimConfig(0, 0, 0, 0, 0, 0))
-    assert state.fsm is PimFsm.ACTIVE and state.status_ready
+    assert pim_read_status(state) is PimStatus.READY
 
 
 def test_negative_step_time_rejected():
@@ -59,7 +59,6 @@ def test_infinite_step_time_rejected():
 
 def test_write_starts_entry_and_drops_ready():
     state = pim_write_sleep(pim_new())
-    assert not state.status_ready
     assert state.fsm is PimFsm.ISO_ON
     assert pim_read_status(state) is PimStatus.BUSY
 
@@ -318,7 +317,7 @@ def _assert_same_state(state, ref):
         ref.fsm, ref.sleep_request, ref.now, ref.deadline,
     )
     assert (state.iso, state.slpb_bias_on, state.ret_saved) == (ref.iso, ref.slpb_bias_on, ref.ret_saved)
-    assert state.status_ready == (ref.fsm is PimFsm.ACTIVE)
+    assert (pim_read_status(state) is PimStatus.READY) == (ref.fsm is PimFsm.ACTIVE)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from pwr.power import (
     DynamicPowerParams,
     LeakageModel,
     Severity,
-    calibrated_reduction_factor,
     dynamic_power,
     fit_subthreshold_slope,
     leakage_bias_sweep,
@@ -79,6 +79,34 @@ def test_dynamic_params_validation():
         DynamicPowerParams(150.0, k=1.5)
     with pytest.raises(ValueError):
         DynamicPowerParams(0.0)
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_dynamic_params_reject_non_finite(value):
+    with pytest.raises(ValueError, match="f_clk_mhz must be finite"):
+        DynamicPowerParams(value)
+    with pytest.raises(ValueError, match="k must be within"):
+        DynamicPowerParams(150.0, k=value)
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("field", [f.name for f in fields(LeakageModel)])
+def test_leakage_model_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LeakageModel(**{field: value})
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_leakage_rejects_non_finite_arguments(soc3, value):
+    with pytest.raises(ValueError, match="bias and temperature must be finite"):
+        leakage_current_per_gate(value)
+    with pytest.raises(ValueError, match="bias and temperature must be finite"):
+        leakage_current_per_gate(0.0, temp_c=value)
+    with pytest.raises(ValueError, match="bias and temperature must be finite"):
+        static_power(soc3, (), temp_c=value)
 
 
 # -- theoretical reduction ------------------------------------------------------
@@ -274,29 +302,28 @@ def test_power_report_totals_are_sums(gated_soc):
     ],
 )
 def test_calibration_lookups(key, expected):
-    assert calibrated_reduction_factor(*key) == expected
+    assert DEFAULT_CALIBRATION.factor(*key) == expected
 
 
 def test_calibration_unknown_key():
     with pytest.raises(ValueError, match="no calibration entry"):
-        calibrated_reduction_factor("sram", 25, "silicon")
+        DEFAULT_CALIBRATION.factor("sram", 25, "silicon")
 
 
 def test_calibration_temperature_matches_exactly():
-    assert calibrated_reduction_factor("nand2", 25.0, "silicon") == 78.6
+    assert DEFAULT_CALIBRATION.factor("nand2", 25.0, "silicon") == 78.6
     with pytest.raises(ValueError, match="no calibration entry"):
-        calibrated_reduction_factor("nand2", 25.9, "silicon")
+        DEFAULT_CALIBRATION.factor("nand2", 25.9, "silicon")
 
 
 def test_calibration_sram_application():
-    reduced = 719e-6 / calibrated_reduction_factor("sram", 125, "silicon")
+    reduced = 719e-6 / DEFAULT_CALIBRATION.factor("sram", 125, "silicon")
     assert reduced == pytest.approx(71.5e-6, rel=0.01)
 
 
 def test_calibration_override_file():
     table = parse_calibration("calib nand2 temp=25 source=silicon factor=80.0\n")
     assert table.factor("nand2", 25, "silicon") == 80.0
-    assert calibrated_reduction_factor("nand2", 25, "silicon", table) == 80.0
 
 
 def test_char_and_calib_lines_share_one_file():

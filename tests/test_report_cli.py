@@ -13,15 +13,17 @@ from conftest import (
     THREE_ISLAND_NETLIST,
 )
 from pwr.cli import parse_config, run_cli
-from pwr.netlist import ActivityProfile
-from pwr.power import DynamicPowerParams, dynamic_power
+from pwr.netlist import ActivityProfile, CellInstance, CellKind, Design, Island, validate_design
+from pwr.power import DynamicPowerParams, LeakageModel, dynamic_power, leakage_bias_sweep
 from pwr.report import (
     Report,
     emit_many,
     emit_report,
+    leakage_sweep_report,
     power_to_report,
     savings_to_report,
     taxonomy_report,
+    violations_to_report,
 )
 from pwr.voltage import assign_voltages, power_savings_summary
 
@@ -105,6 +107,28 @@ def test_emit_many_json_is_an_array(soc3, char_table):
 
     docs = json.loads(emit_many([plan_to_report(plan), savings_to_report(_sample_savings(soc3, char_table))], "json"))
     assert [d["kind"] for d in docs] == ["voltage-plan", "savings"]
+
+
+def test_leakage_sweep_report_is_the_bias_sweep():
+    model = LeakageModel(i0_per_gate_25c=1e-9)
+    report = leakage_sweep_report(model, v_stop=-0.3, steps=7, temp_c=85.0)
+    assert report.rows == leakage_bias_sweep(model, -0.3, 7, 85.0)
+    assert report.assumptions == (("temp_c", 85.0),)
+
+    reader = csv.reader(io.StringIO(emit_report(report, "csv")))
+    assert tuple(next(reader)) == ("v_slp_v", "leakage_a")
+    assert tuple((float(v), float(i)) for v, i in reader) == report.rows  # every float survives
+
+
+def test_validate_design_findings_emit_as_violations():
+    design = Design((Island("x", 1.0, retention=True),), (CellInstance("a", CellKind.STD, "nowhere"),))
+    findings = validate_design(design)
+    rows = json.loads(emit_report(violations_to_report(findings), "json"))["rows"]
+    assert rows == [
+        {"kind": "island", "subject": "x", "detail": "retention requires switchable"},
+        {"kind": "cell", "subject": "a", "detail": "unknown island 'nowhere'"},
+    ]
+    assert [str(v) for v in findings] == [f"{r['kind']} {r['subject']}: {r['detail']}" for r in rows]
 
 
 def test_unknown_format_rejected():

@@ -182,4 +182,4 @@ def test_validate_flags_non_finite_values():
         islands=(Island("x", float("nan")),),
     )
     design = replace(design, cells=(replace(design.cells[0], cap_ff=float("inf")),))
-    assert [(e.category, e.name) for e in validate_design(design)] == [("island", "x"), ("cell", "a")]
+    assert [(e.kind, e.subject) for e in validate_design(design)] == [("island", "x"), ("cell", "a")]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwr.netlist import ActivityProfile, CharRow, CharTable, parse_characterization
+from pwr.netlist import ActivityProfile, CharRow, CharTable, parse_characterization, parse_design
 from pwr.power import DynamicPowerParams
 from pwr.voltage import (
     InfeasibleError,
@@ -13,7 +13,7 @@ from pwr.voltage import (
     select_min_voltage,
 )
 
-from conftest import CHAR_TEXT
+from conftest import CHAR_TEXT, THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
 
 _TABLE = parse_characterization(CHAR_TEXT)
 
@@ -97,6 +97,15 @@ def test_assign_propagates_infeasibility(soc3, char_table):
         assign_voltages(soc3, char_table, {"cpu": 200.0, "mem": 150.0}, {"usb": 1.2})
 
 
+def test_plan_points_are_table_rows(soc3, char_table):
+    plan = assign_voltages(soc3, char_table, {"cpu": 150.0, "mem": 150.0}, {"usb": 1.2})
+    assert plan.choices["cpu"] is char_table.row("cpu", 0.8)
+    assert plan.baseline_points["cpu"] is char_table.row("cpu", 1.2)
+    # a pinned supply that no row covers has no fmax or area
+    assert plan.choices["usb"] == CharRow("usb", 1.2, None, None, 1.0)
+    assert plan.baseline_points["usb"] is None
+
+
 def test_assign_never_alters_pinned(soc3, char_table):
     plan = assign_voltages(soc3, char_table, {"cpu": 150.0, "mem": 150.0}, {"usb": 1.2})
     assert plan.choices["usb"].vdd == 1.2
@@ -167,6 +176,25 @@ def test_savings_missing_baseline_row_errors(soc3):
     plan = assign_voltages(soc3, table, {"cpu": 150.0, "mem": 150.0, "usb": 150.0}, {})
     with pytest.raises(ValueError, match="missing baseline row"):
         power_savings_summary(1.2, plan, soc3, _uniform_activity(soc3, 150.0), DynamicPowerParams(150.0))
+
+
+def test_savings_rejects_a_baseline_other_than_the_plans(soc3, char_table):
+    plan = assign_voltages(soc3, char_table, {"cpu": 150.0, "mem": 150.0}, {"usb": 1.2})
+    with pytest.raises(ValueError, match="baseline_v 1 V differs from the plan's 1.2 V"):
+        power_savings_summary(1.0, plan, soc3, _uniform_activity(soc3, 150.0), DynamicPowerParams(150.0))
+
+
+def test_savings_rejects_a_design_other_than_the_plans(soc3, char_table):
+    plan = assign_voltages(soc3, char_table, {"cpu": 150.0, "mem": 150.0}, {"usb": 1.2})
+    activity, params = _uniform_activity(soc3, 150.0), DynamicPowerParams(150.0)
+    other = parse_design(THREE_ISLAND_NETLIST.replace("cap_ff=400.0", "cap_ff=401.0"), THREE_ISLAND_INTENT)
+    with pytest.raises(ValueError, match="design differs from the one the plan was built for"):
+        power_savings_summary(1.2, plan, other, activity, params)
+    # an equal design parsed again is the same design
+    again = parse_design(THREE_ISLAND_NETLIST, THREE_ISLAND_INTENT)
+    assert power_savings_summary(1.2, plan, again, activity, params) == power_savings_summary(
+        1.2, plan, soc3, activity, params
+    )
 
 
 def test_savings_weighted_total(soc3, char_table):
