@@ -153,7 +153,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     reqs = {i.name: args.freq_mhz for i in design.islands if i.name not in pinned}
     plan = assign_voltages(design, table, reqs, pinned, baseline_v=args.baseline_v)
     # without measured toggle data, weight islands by capacitance at full activity
-    activity = ActivityProfile({n.name: 1.0 for n in design.nets}, args.freq_mhz, 0.0)
+    activity = ActivityProfile({n.name: 1.0 for n in design.nets})
     params = DynamicPowerParams(f_clk_mhz=args.freq_mhz)
     savings = power_savings_summary(args.baseline_v, plan, design, activity, params)
     sys.stdout.write(emit_many([plan_to_report(plan), savings_to_report(savings)], args.format))
@@ -177,38 +177,34 @@ def _cmd_taxonomy(args: argparse.Namespace) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pwr", description="Multi-voltage power-island toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # options shared by several subcommands, listed first in their --help
+    design = _Parser(add_help=False)
+    design.add_argument("--netlist", required=True)
+    design.add_argument("--intent", required=True)
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p = sub.add_parser("check", help="verify crossings and sleep-pin completeness")
-    p.add_argument("--netlist", required=True)
-    p.add_argument("--intent", required=True)
+    p = sub.add_parser("check", parents=[design], help="verify crossings and sleep-pin completeness")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("fix", help="insert level shifters, iso cells, and sleep pins")
-    p.add_argument("--netlist", required=True)
-    p.add_argument("--intent", required=True)
+    p = sub.add_parser("fix", parents=[design], help="insert level shifters, iso cells, and sleep pins")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fix)
 
-    p = sub.add_parser("power", help="dynamic + static power report")
-    p.add_argument("--netlist", required=True)
-    p.add_argument("--intent", required=True)
+    p = sub.add_parser("power", parents=[design, fmt], help="dynamic + static power report")
     p.add_argument("--activity", required=True)
     p.add_argument("--fclk-mhz", type=_finite_float, required=True)
     p.add_argument("--k", type=_finite_float, default=1.0)
     p.add_argument("--temp-c", type=_finite_float, default=25.0)
     p.add_argument("--sleep", action="append", default=[], metavar="ISLAND")
     p.add_argument("--config", default=None)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_power)
 
-    p = sub.add_parser("optimize", help="minimum-voltage plan and savings summary")
-    p.add_argument("--netlist", required=True)
-    p.add_argument("--intent", required=True)
+    p = sub.add_parser("optimize", parents=[design, fmt], help="minimum-voltage plan and savings summary")
     p.add_argument("--char", required=True)
     p.add_argument("--freq-mhz", type=_finite_float, required=True)
     p.add_argument("--pin", type=_pin, action="append", default=[], metavar="ISLAND=V")
     p.add_argument("--baseline-v", type=_finite_float, default=1.2)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("sleep-sim", help="run a sleep-controller script")
@@ -217,8 +213,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--vcd", default=None)
     p.set_defaults(func=_cmd_sleep_sim)
 
-    p = sub.add_parser("taxonomy", help="leakage mechanism severity grid")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p = sub.add_parser("taxonomy", parents=[fmt], help="leakage mechanism severity grid")
     p.set_defaults(func=_cmd_taxonomy)
 
     return parser

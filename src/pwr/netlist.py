@@ -14,13 +14,14 @@ keys:
 
 Each parser then converts the values and applies its format's range rules.
 
-The netlist is the one large input, so ``parse_design`` reads its ``cell``,
-``net`` and ``port`` lines in one direct pass instead: it splits each line
-once, matches each key against the statement's keys, converts the values
-with the bare ``float``/``int`` and appends each record to its list, with no
-attribute dict per line.  Any line it rejects is read again by
+The netlist is the one large input, so ``parse_design`` reads its ``cell``
+and ``net`` lines in one direct pass instead: it splits each line once,
+matches each key against the statement's keys, converts the values with the
+bare ``float``/``int`` and appends each record to its list, with no
+attribute dict per line.  Any such line it rejects is read again by
 ``_statements`` and the checked converters, which raise the ``ParseError``
 they always gave, so the values and errors are those of the checked reader.
+The few ``port`` lines go through the checked reader directly.
 ``parse_design`` checks no design invariant itself: it runs the same walk
 as ``validate_design`` and reports the first fault at its line.
 
@@ -399,6 +400,9 @@ class Design:
         unknown = set(vdd_by_island) - set(self.islands_by_name())
         if unknown:
             raise ValueError(f"unknown island '{min(unknown)}'")
+        for name, vdd in vdd_by_island.items():
+            if not 0 < vdd < math.inf:
+                raise ValueError(f"island {name}: vdd must be positive and finite, got {vdd}")
         retargeted = replace(
             self,
             islands=tuple(replace(i, vdd=vdd_by_island.get(i.name, i.vdd)) for i in self.islands),
@@ -425,12 +429,11 @@ class ActivityProfile:
     """Per-net switching activity in toggles per clock cycle.
 
     Nets absent from the profile default to zero activity; partial coverage
-    is normal for simulation-derived toggle data.
+    is normal for simulation-derived toggle data.  The clock the activity is
+    counted against is ``DynamicPowerParams.f_clk_mhz``.
     """
 
     sa_by_net: Mapping[str, float]
-    f_clk_mhz: float
-    duration_ns: float
 
     def sa(self, net: str) -> float:
         return self.sa_by_net.get(net, 0.0)
@@ -576,8 +579,8 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
     kinds = _KIND_BY_VALUE
     isfinite = math.isfinite
     try:
-        # Every check below raises ValueError, and only on a line the
-        # checked reader rejects too; ``_netlist_fault`` then names the fault.
+        # Every cell and net check below raises ValueError, and only on a line
+        # the checked reader rejects too; ``_netlist_fault`` then names the fault.
         for line_no, raw in enumerate(netlist_text.splitlines(), start=1):
             # as _token_lines: the text before any "#", split at whitespace
             tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
@@ -637,21 +640,9 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
                 nets.append(_make_net(name, raw_driver, raw_loads))
                 net_lines.append(line_no)
             elif directive == "port":
-                direction = vdd = None
-                for attr in attrs:
-                    key, _, value = attr.partition("=")
-                    if key == "dir" and direction is None and value:
-                        direction = value
-                    elif key == "vdd" and vdd is None and value:
-                        vdd = value
-                    else:
-                        raise ValueError
-                if direction is None or vdd is None:
-                    raise ValueError
-                volts = float(vdd)
-                if not isfinite(volts):
-                    raise ValueError
-                ports.append(Port(name, direction, volts))
+                # a handful per design: the checked reader raises its own ParseError
+                _, _, _, port = next(_statements("netlist", [(line_no, tokens)], _NETLIST_GRAMMAR))
+                ports.append(Port(name, port["dir"], _float("netlist", line_no, "vdd", port["vdd"])))
                 port_lines.append(line_no)
             else:
                 raise ValueError
@@ -687,8 +678,6 @@ def _netlist_fault(line_no: int, tokens: list[str]) -> ParseError:
                 for item in [attrs["driver"], *attrs.get("loads", "").split(",")]:
                     if item:
                         _endpoint("netlist", line_no, item)
-            else:
-                _float("netlist", line_no, "vdd", attrs["vdd"])
     except ParseError as error:
         return error
     raise AssertionError(f"netlist line {line_no}: the checked reader accepts what parse_design rejected")
@@ -827,11 +816,10 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
         toggles[name] = toggles.get(name, 0) + count
         durations[name] = durations.get(name, 0.0) + duration
 
-    sa_by_net = {
+    return ActivityProfile({
         name: min(toggles[name] / (durations[name] * f_clk_mhz * 1e-3), SA_MAX)
         for name in toggles
-    }
-    return ActivityProfile(sa_by_net, f_clk_mhz, max(durations.values(), default=0.0))
+    })
 
 
 def parse_characterization(char_text: str) -> CharTable:

@@ -9,11 +9,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .netlist import Violation
 from .power import LEAKAGE_MECHANISMS, LeakageModel, PowerReport, leakage_bias_sweep
-from .voltage import SavingsReport, VoltagePlan
+from .voltage import SavingsReport, SavingsRow, VoltagePlan
 
 TOOL_VERSION = "0.1.0"
 
@@ -100,24 +100,17 @@ def power_to_report(pr: PowerReport) -> Report:
     return Report("power", columns, tuple(rows), pr.assumptions)
 
 
+_SAVINGS_COLUMNS = tuple(f.name for f in fields(SavingsRow))
+
+
 def savings_to_report(sr: SavingsReport) -> Report:
-    columns = (
-        "island", "vdd_from", "vdd_to", "theoretical_pct", "actual_pct",
-        "area_delta_pct", "levelshifters_added", "iso_added", "within_theoretical",
-    )
-    rows = tuple(
-        (
-            r.island, r.vdd_from, r.vdd_to, r.theoretical_pct, r.actual_pct,
-            r.area_delta_pct, r.levelshifters_added, r.iso_added, r.within_theoretical,
-        )
-        for r in sr.rows
-    )
+    rows = tuple(map(astuple, sr.rows))
     assumptions = (
         ("baseline_dynamic_w", sr.baseline_dynamic_w),
         ("planned_dynamic_w", sr.planned_dynamic_w),
         ("total_actual_pct", sr.total_actual_pct),
     )
-    return Report("savings", columns, rows, assumptions)
+    return Report("savings", _SAVINGS_COLUMNS, rows, assumptions)
 
 
 def plan_to_report(plan: VoltagePlan) -> Report:

@@ -7,6 +7,7 @@ of the flow, so the table is authoritative.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -109,6 +110,8 @@ def assign_voltages(
     voltages so crossing analysis can price the level-shifter bill of
     materials; the copy shares the design's topology index.
     """
+    if not 0 < baseline_v < math.inf:
+        raise ValueError(f"baseline_v must be positive and finite, got {baseline_v}")
     islands = design.islands_by_name()
     for name in list(f_req_mhz) + list(pinned):
         if name not in islands:

@@ -108,7 +108,7 @@ def test_criterion_5_operating_point_selection():
 def test_criterion_6_savings_pipeline():
     design = parse_design(THREE_ISLAND_NETLIST, THREE_ISLAND_INTENT)
     table = parse_characterization(CHAR_TEXT)
-    activity = ActivityProfile({n.name: 1.0 for n in design.nets}, 150.0, 0.0)
+    activity = ActivityProfile({n.name: 1.0 for n in design.nets})
 
     low = assign_voltages(design, table, {"cpu": 150.0, "mem": 150.0}, {"usb": 1.2})
     rows = {r.island: r for r in power_savings_summary(

@@ -508,3 +508,44 @@ def test_parse_characterization_rejects_nonpositive():
 def test_non_finite_numbers_are_rejected_with_line(parse, text):
     with pytest.raises((ParseError, ValueError), match=r"line 2: \w+ must be finite"):
         parse(text)
+
+
+# -- rejections, each with its exact message -----------------------------------------
+
+
+def test_blank_and_comment_lines_inside_a_netlist_are_skipped():
+    net = "net n driver=a.z loads=a.b\n"
+    assert parse_design(_CELL + "\n   \n# a note\n  # indented\n" + net, _INTENT) == parse_design(_CELL + net, _INTENT)
+    with pytest.raises(ParseError) as info:
+        parse_design(_CELL + "\n# a note\ncell b kind=std island=gpu\n", _INTENT)
+    assert str(info.value) == "netlist line 4: cell b: unknown island 'gpu'"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (lambda t: parse_design(t, _INTENT), _CELL + "wire w driver=a.z\n", "netlist line 2: unknown directive 'wire'"),
+        (lambda t: parse_design("", t), _INTENT + "region r vdd=1.0\n", "intent line 2: unknown directive 'region'"),
+        (lambda t: parse_activity(t, 100.0), "# toggles\ncell a toggles=1\n", "activity line 2: unknown directive 'cell'"),
+        (
+            parse_characterization,
+            "op x vdd=1.0 fmax_mhz=1 area_um2=1 cap_factor=1\npoint x vdd=0.8\n",
+            "characterization line 2: unknown directive 'point'",
+        ),
+        (
+            parse_characterization,
+            "op x vdd=1.0 fmax_mhz=1 area_um2=1 cap_factor=0\n",
+            "characterization line 1: cap_factor must be positive",
+        ),
+        (lambda t: parse_activity(t, 0.0), "net a toggles=1 duration_ns=10\n", "f_clk_mhz must be positive, got 0.0"),
+        (lambda t: parse_activity(t, -150.0), "", "f_clk_mhz must be positive, got -150.0"),
+    ],
+    ids=[
+        "netlist-directive", "intent-directive", "activity-directive", "characterization-directive",
+        "cap_factor", "f_clk-zero", "f_clk-negative",
+    ],
+)
+def test_reader_rejections_give_their_exact_message(parse, text, message):
+    with pytest.raises((ParseError, ValueError)) as info:
+        parse(text)
+    assert str(info.value) == message

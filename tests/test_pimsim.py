@@ -339,3 +339,30 @@ def test_derived_signals_match_reference_states(case):
                 break
             ref = reference_pim_write_sleep(ref, command.value)
             _assert_same_state(state, ref)
+
+
+# -- rejections, each with its exact message -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("at 0 read_status\nwrite_sleep 1\n", "script line 2: expected 'at <ns> <command>', got 'write_sleep 1'"),
+        ("# one line\nat 5\n", "script line 2: expected 'at <ns> <command>', got 'at 5'"),
+        ("at 0 read_status now\n", "script line 1: unexpected token 'now'"),
+        ("at 0 write_sleep maybe\n", "script line 1: unexpected token 'maybe'"),
+    ],
+    ids=["no-at", "no-command", "read_status-token", "write_sleep-token"],
+)
+def test_parse_script_rejections_give_their_exact_message(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_script(text)
+    assert str(info.value) == message
+
+
+def test_vcd_timescale_falls_back_to_rounded_picoseconds():
+    script = [ScriptCommand(0.0, "write_sleep"), ScriptCommand(1.0, "read_status")]
+    vcd = trace_to_vcd(pim_run_script(PimConfig(*[0.0004] * 6), script))
+    # 0.4, 0.8 and 1.2 ps are whole in no unit, so 1ps rounds them
+    assert vcd.startswith("$timescale 1ps $end\n")
+    assert vcd.endswith("$end\n#0\n1!\n#1\n1#\n1\"\n")

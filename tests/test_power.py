@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwr.netlist import ActivityProfile, parse_design
+from pwr.netlist import ActivityProfile, ParseError, parse_design
 from pwr.power import (
     DEFAULT_CALIBRATION,
     LEAKAGE_MECHANISMS,
@@ -33,7 +33,7 @@ def _one_net_design(vdd: float, cap_ff: float):
 
 
 def _profile(sa: float, f_clk: float) -> ActivityProfile:
-    return ActivityProfile({"n": sa}, f_clk, 1000.0)
+    return ActivityProfile({"n": sa})
 
 
 # -- dynamic ------------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_dynamic_power_hand_value():
 
 
 def test_dynamic_power_zero_activity(soc3):
-    report = dynamic_power(soc3, ActivityProfile({}, 150.0, 0.0), DynamicPowerParams(150.0))
+    report = dynamic_power(soc3, ActivityProfile({}), DynamicPowerParams(150.0))
     assert report.total_w == 0.0
 
 
@@ -275,7 +275,7 @@ def test_static_power_rejects_sleeping_non_switchable(soc3):
 
 
 def test_power_report_totals_are_sums(gated_soc):
-    activity = ActivityProfile({n.name: 0.3 for n in gated_soc.nets}, 200.0, 1000.0)
+    activity = ActivityProfile({n.name: 0.3 for n in gated_soc.nets})
     report = power_report(
         gated_soc, activity, DynamicPowerParams(200.0), sleeping={"logic"},
         model=LeakageModel(i0_per_gate_25c=1e-9),
@@ -358,3 +358,34 @@ def test_taxonomy_grid():
     assert grid["I3"] == [Severity.MINOR, Severity.RELEVANT, Severity.SIGNIFICANT]
     assert grid["I4"] == [Severity.MINOR, Severity.MINOR, Severity.MINOR]
     assert grid["I5"] == [Severity.MINOR, Severity.MINOR, Severity.MINOR]
+
+
+# -- rejections, each with its exact message -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LeakageModel(i0_per_gate_25c=0.0), "i0_per_gate_25c must be positive"),
+        (lambda: LeakageModel(slope_mv_per_decade=-1.0), "slope_mv_per_decade must be positive"),
+        (lambda: LeakageModel(temp_doubling_c=0.0), "temp_doubling_c must be positive"),
+        (lambda: LeakageModel(manager_overhead_w=-1e-6), "manager_overhead_w must be >= 0"),
+        (lambda: LeakageModel(bias_v=0.1), "bias_v must be <= 0"),
+        (lambda: theoretical_reduction(1.2, 0.0), "v_to must be positive, got 0.0"),
+        (lambda: leakage_bias_sweep(v_stop=0.1), "v_stop must be <= 0 and steps >= 2"),
+        (lambda: leakage_bias_sweep(steps=1), "v_stop must be <= 0 and steps >= 2"),
+        (lambda: LEAKAGE_MECHANISMS[0].severity(65), "no severity recorded for 65 nm"),
+        (
+            lambda: parse_calibration("calib nand2 temp=25 source=spice factor=2\n"),
+            "characterization line 1: bad source 'spice' (want model or silicon)",
+        ),
+    ],
+    ids=[
+        "i0", "slope", "temp_doubling", "manager_overhead", "bias_v", "v_to", "v_stop", "steps",
+        "severity-node", "calib-source",
+    ],
+)
+def test_power_rejections_give_their_exact_message(call, message):
+    with pytest.raises((ParseError, ValueError)) as info:
+        call()
+    assert str(info.value) == message

@@ -1,8 +1,12 @@
 import csv
+import importlib
 import io
 import json
+import re
 
 import pytest
+
+import pwr
 
 from conftest import (
     ACTIVITY_TEXT,
@@ -54,12 +58,12 @@ def workspace(tmp_path):
 
 def _sample_savings(soc3_design, table):
     plan = assign_voltages(soc3_design, table, {"cpu": 150.0, "mem": 150.0}, {"usb": 1.2})
-    activity = ActivityProfile({n.name: 1.0 for n in soc3_design.nets}, 150.0, 0.0)
+    activity = ActivityProfile({n.name: 1.0 for n in soc3_design.nets})
     return power_savings_summary(1.2, plan, soc3_design, activity, DynamicPowerParams(150.0))
 
 
 def test_text_uses_four_significant_digits(soc3):
-    activity = ActivityProfile({"cpu2usb": 0.123456}, 150.0, 1000.0)
+    activity = ActivityProfile({"cpu2usb": 0.123456})
     report = power_to_report(dynamic_power(soc3, activity, DynamicPowerParams(150.0)))
     text = emit_report(report, "text")
     assert "1.422e-05" in text  # 1200 fF * 0.64 * 150 MHz * 0.123456, 4 sig figs
@@ -355,3 +359,111 @@ def test_subcommands_are_idempotent(workspace, capsys):
     first = capsys.readouterr().out
     run_cli(args)
     assert capsys.readouterr().out == first
+
+
+# -- one list per concept ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["netlist", "crossings", "power", "voltage", "pimsim", "report"])
+def test_package_republishes_each_modules_all(module):
+    source = importlib.import_module(f"pwr.{module}")
+    assert source.__all__
+    for name in source.__all__:
+        assert getattr(pwr, name) is getattr(source, name), name
+    assert pwr.__version__ == pwr.report.TOOL_VERSION
+
+
+# the shared --netlist/--intent and --format options come first
+_HELP_OPTIONS = {
+    "check": ["--netlist", "--intent"],
+    "fix": ["--netlist", "--intent", "--out"],
+    "power": ["--netlist", "--intent", "--format", "--activity", "--fclk-mhz", "--k", "--temp-c", "--sleep", "--config"],
+    "optimize": ["--netlist", "--intent", "--format", "--char", "--freq-mhz", "--pin", "--baseline-v"],
+    "sleep-sim": ["--script", "--config", "--vcd"],
+    "taxonomy": ["--format"],
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_OPTIONS))
+def test_subcommand_help_lists_its_options_in_order(command, capsys):
+    assert run_cli([command, "--help"]) == 0
+    assert re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M) == _HELP_OPTIONS[command]
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        ("check", "--netlist, --intent"),
+        ("fix", "--netlist, --intent, --out"),
+        ("power", "--netlist, --intent, --activity, --fclk-mhz"),
+        ("optimize", "--netlist, --intent, --char, --freq-mhz"),
+    ],
+)
+def test_missing_arguments_are_named_in_declaration_order(command, missing, capsys):
+    assert run_cli([command]) == 1
+    assert capsys.readouterr().err == f"pwr: error: the following arguments are required: {missing}\n"
+
+
+def test_savings_columns_are_the_row_fields(soc3, char_table):
+    report = savings_to_report(_sample_savings(soc3, char_table))
+    assert report.columns == (
+        "island", "vdd_from", "vdd_to", "theoretical_pct", "actual_pct",
+        "area_delta_pct", "levelshifters_added", "iso_added", "within_theoretical",
+    )
+    usb = report.rows[[row[0] for row in report.rows].index("usb")]
+    assert usb[1:3] == (1.2, 1.2) and usb[-1] is True
+
+
+# -- rejections, each with its exact message -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--freq-mhz", "fast", "argument --freq-mhz: bad number 'fast'"),
+        ("--pin", "usb", "argument --pin: bad value 'usb' (want ISLAND=VOLTS)"),
+        ("--pin", "usb=high", "argument --pin: bad number 'high'"),
+        ("--pin", "usb=-1", "island usb: vdd must be positive and finite, got -1.0"),
+        ("--pin", "usb=0", "island usb: vdd must be positive and finite, got 0.0"),
+        ("--baseline-v", "0", "baseline_v must be positive and finite, got 0.0"),
+    ],
+    ids=["freq-not-a-number", "pin-without-equals", "pin-not-a-number", "pin-negative", "pin-zero", "baseline-zero"],
+)
+def test_optimize_rejections_exit_1_with_their_exact_message(workspace, capsys, option, value, message):
+    argv = [
+        "optimize", "--netlist", workspace["netlist"], "--intent", workspace["intent"],
+        "--char", workspace["char"], "--freq-mhz", "150", "--pin", "usb=1.2", option, value,
+    ]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"pwr: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t_save=10\nbias_v\n", "config line 2: expected key=value, got 'bias_v'"),
+        ("bias_v =\n", "config line 1: expected key=value, got 'bias_v ='"),
+        ("# flags\nexplicit_bit=2\n", "config line 2: bad flag '2' (want 0 or 1)"),
+        ("bias_v=low\n", "config line 1: bad number 'low'"),
+    ],
+    ids=["no-equals", "no-value", "bad-flag", "bad-number"],
+)
+def test_parse_config_rejections_give_their_exact_message(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+_NONE_REPORT = Report("r", ("a", "b"), (("x", None), ("yy", 1.5)))
+
+
+def test_none_cells_print_as_a_dash_in_text_and_empty_in_csv():
+    assert emit_report(_NONE_REPORT, "text") == "# r (pwr 0.1.0)\na   b\nx   -\nyy  1.5\n"
+    assert emit_report(_NONE_REPORT, "csv") == "a,b\nx,\nyy,1.5\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_emit_many_joins_text_and_csv_with_a_blank_line(fmt):
+    other = Report("s", ("c",), ((True,),))
+    assert emit_many([_NONE_REPORT, other], fmt) == emit_report(_NONE_REPORT, fmt) + "\n" + emit_report(other, fmt)

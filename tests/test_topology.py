@@ -1,5 +1,6 @@
 """The per-Design topology index against uncached references."""
 
+import math
 import pickle
 import random
 import sys
@@ -25,7 +26,7 @@ from pwr.voltage import assign_voltages
 
 def _activity(rng: random.Random, design) -> ActivityProfile:
     sa = {n.name: rng.choice((0.0, 0.1, 0.37, 1.0, 2.0)) for n in design.nets if rng.random() < 0.8}
-    return ActivityProfile(sa, 150.0, 1000.0)
+    return ActivityProfile(sa)
 
 
 def _table(rng: random.Random, design) -> CharTable:
@@ -107,7 +108,7 @@ def test_index_built_under_thread_contention():
     """Threads racing to build one design's index all see the same results."""
     rng = random.Random(7)
     designs = [random_fixed_design(rng) for _ in range(20)]
-    activity = ActivityProfile({}, 150.0, 1000.0)
+    activity = ActivityProfile({})
     params = DynamicPowerParams(150.0)
     expected = [(reference_crossings(d), reference_dynamic_w(d, activity, params)) for d in designs]
     results: dict[int, list] = {}
@@ -183,3 +184,10 @@ def test_validate_flags_non_finite_values():
     )
     design = replace(design, cells=(replace(design.cells[0], cap_ff=float("inf")),))
     assert [(e.kind, e.subject) for e in validate_design(design)] == [("island", "x"), ("cell", "a")]
+
+
+@pytest.mark.parametrize("vdd", [0.0, -1.0, math.nan, math.inf])
+def test_with_supplies_rejects_a_supply_that_is_not_positive_and_finite(soc3, vdd):
+    with pytest.raises(ValueError) as info:
+        soc3.with_supplies({"cpu": 1.0, "usb": vdd})
+    assert str(info.value) == f"island usb: vdd must be positive and finite, got {vdd}"

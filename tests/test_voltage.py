@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from pwr.netlist import ActivityProfile, CharRow, CharTable, parse_characterizat
 from pwr.power import DynamicPowerParams
 from pwr.voltage import (
     InfeasibleError,
+    SavingsReport,
     assign_voltages,
     power_savings_summary,
     select_min_voltage,
@@ -116,7 +118,7 @@ def test_assign_never_alters_pinned(soc3, char_table):
 
 
 def _uniform_activity(design, f_clk):
-    return ActivityProfile({n.name: 1.0 for n in design.nets}, f_clk, 0.0)
+    return ActivityProfile({n.name: 1.0 for n in design.nets})
 
 
 def test_savings_calibrated_capacitance_points(soc3, char_table):
@@ -210,3 +212,41 @@ def test_actual_strictly_below_theoretical_when_capacitance_grows(cap_factor, ra
     theoretical = (1.0 - ratio**2) * 100.0
     actual = (1.0 - cap_factor * ratio**2) * 100.0
     assert actual < theoretical
+
+
+# -- rejections, each with its exact message -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "f_req, pinned, baseline_v, message",
+    [
+        ({"cpu": 150.0, "mem": 150.0, "gpu": 150.0}, {"usb": 1.2}, 1.2, "unknown island 'gpu'"),
+        ({"cpu": 150.0, "mem": 150.0}, {"gpu": 1.0}, 1.2, "unknown island 'gpu'"),
+        ({"cpu": 150.0, "mem": 150.0}, {"usb": 0.0}, 1.2, "island usb: vdd must be positive and finite, got 0.0"),
+        ({"cpu": 150.0, "mem": 150.0}, {"usb": -1.0}, 1.2, "island usb: vdd must be positive and finite, got -1.0"),
+        ({"cpu": 150.0, "mem": 150.0}, {"usb": math.nan}, 1.2, "island usb: vdd must be positive and finite, got nan"),
+        ({"cpu": 150.0, "mem": 150.0}, {"usb": 1.2}, 0.0, "baseline_v must be positive and finite, got 0.0"),
+        ({"cpu": 150.0, "mem": 150.0}, {"usb": 1.2}, -1.2, "baseline_v must be positive and finite, got -1.2"),
+        ({"cpu": 150.0, "mem": 150.0}, {"usb": 1.2}, math.nan, "baseline_v must be positive and finite, got nan"),
+    ],
+    ids=[
+        "unknown-required", "unknown-pinned", "pin-zero", "pin-negative", "pin-nan",
+        "baseline-zero", "baseline-negative", "baseline-nan",
+    ],
+)
+def test_assign_voltages_rejections_give_their_exact_message(soc3, char_table, f_req, pinned, baseline_v, message):
+    with pytest.raises(ValueError) as info:
+        assign_voltages(soc3, char_table, f_req, pinned, baseline_v=baseline_v)
+    assert str(info.value) == message
+
+
+def test_plan_point_rejects_an_island_it_does_not_cover(soc3, char_table):
+    plan = assign_voltages(soc3, char_table, {"cpu": 150.0, "mem": 150.0}, {"usb": 1.2})
+    with pytest.raises(ValueError) as info:
+        plan.point("gpu")
+    assert str(info.value) == "plan does not cover island 'gpu'"
+
+
+def test_total_actual_pct_is_zero_without_baseline_power():
+    assert SavingsReport((), 0.0, 0.0).total_actual_pct == 0.0
+    assert SavingsReport((), 2.0, 1.0).total_actual_pct == 50.0
