@@ -13,7 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins, verify_power_intent
-from .netlist import ActivityProfile, ParseError, parse_activity, parse_characterization, parse_design, serialize_design
+from .netlist import ParseError, parse_activity, parse_characterization, parse_design, serialize_design
 from .pimsim import PimConfig, parse_script, pim_run_script, trace_to_vcd
 from .power import DynamicPowerParams, LeakageModel, power_report
 from .report import (
@@ -27,8 +27,7 @@ from .report import (
 )
 from .voltage import InfeasibleError, assign_voltages, power_savings_summary
 
-_LEAKAGE_KEYS = {f.name for f in fields(LeakageModel)}
-_PIM_KEYS = {f.name for f in fields(PimConfig)}
+_CONFIG_KEYS = {f.name for cls in (LeakageModel, PimConfig) for f in fields(cls)}
 _BOOL_KEYS = {"explicit_bit"}
 
 
@@ -65,7 +64,6 @@ def _read(path: str) -> str:
 
 def parse_config(text: str) -> dict[str, float | bool]:
     """key=value overrides for LeakageModel / PimConfig defaults."""
-    allowed = _LEAKAGE_KEYS | _PIM_KEYS
     out: dict[str, float | bool] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -75,7 +73,7 @@ def parse_config(text: str) -> dict[str, float | bool]:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ValueError(f"config line {line_no}: expected key=value, got '{line}'")
-        if key not in allowed:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {line_no}: unknown key '{key}'")
         if key in _BOOL_KEYS:
             if value not in ("0", "1"):
@@ -92,16 +90,11 @@ def parse_config(text: str) -> dict[str, float | bool]:
     return out
 
 
-def _load_config(path: str | None) -> dict[str, float | bool]:
-    return parse_config(_read(path)) if path else {}
-
-
-def _leakage_model(config: dict[str, float | bool]) -> LeakageModel:
-    return LeakageModel(**{k: v for k, v in config.items() if k in _LEAKAGE_KEYS})
-
-
-def _pim_config(config: dict[str, float | bool]) -> PimConfig:
-    return PimConfig(**{k: v for k, v in config.items() if k in _PIM_KEYS})
+def _configured(cls: type, path: str | None):
+    """``cls`` built from the keys of the ``--config`` file that are its fields."""
+    config = parse_config(_read(path)) if path else {}
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in config.items() if k in names})
 
 
 def _load_design(args: argparse.Namespace):
@@ -137,7 +130,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     design = _load_design(args)
     activity = parse_activity(_read(args.activity), args.fclk_mhz, design=design)
     params = DynamicPowerParams(f_clk_mhz=args.fclk_mhz, k=args.k)
-    model = _leakage_model(_load_config(args.config))
+    model = _configured(LeakageModel, args.config)
     result = power_report(
         design, activity, params,
         sleeping=args.sleep, temp_c=args.temp_c, model=model,
@@ -153,7 +146,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     reqs = {i.name: args.freq_mhz for i in design.islands if i.name not in pinned}
     plan = assign_voltages(design, table, reqs, pinned, baseline_v=args.baseline_v)
     # without measured toggle data, weight islands by capacitance at full activity
-    activity = ActivityProfile({n.name: 1.0 for n in design.nets})
+    activity = {n.name: 1.0 for n in design.nets}
     params = DynamicPowerParams(f_clk_mhz=args.freq_mhz)
     savings = power_savings_summary(args.baseline_v, plan, design, activity, params)
     sys.stdout.write(emit_many([plan_to_report(plan), savings_to_report(savings)], args.format))
@@ -161,7 +154,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sleep_sim(args: argparse.Namespace) -> int:
-    config = _pim_config(_load_config(args.config))
+    config = _configured(PimConfig, args.config)
     trace = pim_run_script(config, parse_script(_read(args.script)))
     sys.stdout.write(trace.to_text())
     if args.vcd:

@@ -35,7 +35,6 @@ from .netlist import (
 __all__ = [
     "IssueKind",
     "CrossingIssue",
-    "Violation",
     "analyze_crossings",
     "apply_power_fixes",
     "insert_sleep_pins",

@@ -10,7 +10,7 @@ keys:
 * netlist file    -- ``cell``, ``net`` and ``port`` statements
 * activity file   -- ``net <name> toggles=<int> duration_ns=<float>``
 * characterization -- ``op <class> vdd=<f> fmax_mhz=<f> area_um2=<f> cap_factor=<f>``
-  and ``calib`` lines, read by ``power.parse_calibration``
+  and ``calib <class> temp=<int> source=<model|silicon> factor=<f>``
 
 Each parser then converts the values and applies its format's range rules.
 
@@ -25,8 +25,9 @@ The few ``port`` lines go through the checked reader directly.
 ``parse_design`` checks no design invariant itself: it runs the same walk
 as ``validate_design`` and reports the first fault at its line.
 
-Every parsed value is immutable after construction, so designs and profiles
-can be shared freely across threads.
+Every parsed record is immutable after construction, so designs and tables
+can be shared freely across threads.  ``parse_activity`` returns a plain
+dict, which the power stages only read.
 
 The records are kept cheap for the garbage collector.  ``Island``,
 ``CellInstance`` and ``Port`` have slots, and a ``Net`` stores its driver and
@@ -69,8 +70,9 @@ __all__ = [
     "Design",
     "Topology",
     "Violation",
-    "ActivityProfile",
     "CharRow",
+    "CalibrationEntry",
+    "CalibrationTable",
     "CharTable",
     "parse_design",
     "serialize_design",
@@ -368,16 +370,8 @@ class Design:
         """The shared index over ``cells`` and ``nets``; see ``Topology``."""
         return Topology(self.cells, self.nets)
 
-    @cached_property
-    def _islands_by_name(self) -> Mapping[str, Island]:
-        return MappingProxyType({i.name: i for i in self.islands})
-
-    @cached_property
-    def _ports_by_name(self) -> Mapping[str, Port]:
-        return MappingProxyType({p.name: p for p in self.ports})
-
     def islands_by_name(self) -> Mapping[str, Island]:
-        return self._islands_by_name
+        return MappingProxyType({i.name: i for i in self.islands})
 
     def cells_by_name(self) -> Mapping[str, CellInstance]:
         return self.topology.cells_by_name
@@ -386,7 +380,7 @@ class Design:
         return self.topology.nets_by_name
 
     def ports_by_name(self) -> Mapping[str, Port]:
-        return self._ports_by_name
+        return MappingProxyType({p.name: p for p in self.ports})
 
     def pim_cell(self) -> CellInstance | None:
         return self.topology.pim
@@ -425,21 +419,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class ActivityProfile:
-    """Per-net switching activity in toggles per clock cycle.
-
-    Nets absent from the profile default to zero activity; partial coverage
-    is normal for simulation-derived toggle data.  The clock the activity is
-    counted against is ``DynamicPowerParams.f_clk_mhz``.
-    """
-
-    sa_by_net: Mapping[str, float]
-
-    def sa(self, net: str) -> float:
-        return self.sa_by_net.get(net, 0.0)
-
-
-@dataclass(frozen=True)
 class CharRow:
     """One operating point of an island class: a measured row, or a pinned
     supply that no row covers (no fmax or area, cap_factor 1)."""
@@ -452,8 +431,30 @@ class CharRow:
 
 
 @dataclass(frozen=True)
+class CalibrationEntry:
+    device_class: str
+    temp_c: int
+    source: str  # "model" | "silicon"
+    reduction_factor: float
+
+
+@dataclass(frozen=True)
+class CalibrationTable:
+    entries: tuple[CalibrationEntry, ...] = ()
+
+    def factor(self, device_class: str, temp_c: float, source: str) -> float:
+        for entry in self.entries:
+            if (entry.device_class, entry.temp_c, entry.source) == (device_class, temp_c, source):
+                return entry.reduction_factor
+        raise ValueError(f"no calibration entry for ({device_class}, {temp_c} C, {source})")
+
+
+@dataclass(frozen=True)
 class CharTable:
+    """The ``op`` rows and ``calib`` entries of one characterization file."""
+
     rows: tuple[CharRow, ...] = ()
+    calibration: CalibrationTable = CalibrationTable()
 
     def rows_for(self, island_class: str) -> tuple[CharRow, ...]:
         return tuple(r for r in self.rows if r.island_class == island_class)
@@ -465,9 +466,8 @@ class CharTable:
 # ---------------------------------------------------------------------------
 # tokenizing helpers shared by all formats
 
-# directive -> (required keys, optional keys), or None for lines another
-# reader of the same file owns
-_Grammar = Mapping[str, tuple[tuple[str, ...], tuple[str, ...]] | None]
+# directive -> (required keys, optional keys)
+_Grammar = Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]]
 
 
 def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -480,18 +480,15 @@ def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
 def _statements(source: str, lines: Iterable[tuple[int, list[str]]],
                 grammar: _Grammar) -> Iterator[tuple[int, str, str, dict[str, str]]]:
     """``(line_no, directive, name, attrs)`` of every ``<directive> <name>
-    key=value ...`` line, out of ``_token_lines``, whose directive
-    ``grammar`` gives keys for."""
+    key=value ...`` line out of ``_token_lines``; ``grammar`` gives each
+    directive's keys."""
     for line_no, tokens in lines:
         directive = tokens[0]
         if directive not in grammar:
             raise ParseError(source, line_no, f"unknown directive '{directive}'")
-        keys = grammar[directive]
-        if keys is None:
-            continue
         if len(tokens) < 2 or "=" in tokens[1]:
             raise ParseError(source, line_no, f"'{directive}' statement needs a name")
-        yield line_no, directive, tokens[1], _attrs(source, line_no, tokens[2:], *keys)
+        yield line_no, directive, tokens[1], _attrs(source, line_no, tokens[2:], *grammar[directive])
 
 
 def _attrs(source: str, line_no: int, tokens: Iterable[str],
@@ -789,12 +786,14 @@ def serialize_design(design: Design) -> tuple[str, str]:
 # activity and characterization parsing
 
 
-def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None = None) -> ActivityProfile:
-    """Turn toggle counts into switching activity (toggles per clock cycle).
+def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None = None) -> dict[str, float]:
+    """Turn toggle counts into switching activity: toggles per clock cycle of
+    ``f_clk_mhz``, by net name.
 
     sa = toggles / (duration_ns * f_clk_GHz).  Repeated lines for one net
     merge as consecutive observation windows.  Activity is capped at
-    SA_MAX; nets missing from the file default to zero when queried.
+    SA_MAX.  Nets missing from the file have zero activity; partial
+    coverage is normal for simulation-derived toggle data.
     """
     if not math.isfinite(f_clk_mhz):
         raise ValueError(f"f_clk_mhz must be finite, got {f_clk_mhz}")
@@ -816,28 +815,41 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
         toggles[name] = toggles.get(name, 0) + count
         durations[name] = durations.get(name, 0.0) + duration
 
-    return ActivityProfile({
-        name: min(toggles[name] / (durations[name] * f_clk_mhz * 1e-3), SA_MAX)
-        for name in toggles
-    })
+    return {name: min(toggles[name] / (durations[name] * f_clk_mhz * 1e-3), SA_MAX) for name in toggles}
 
 
 def parse_characterization(char_text: str) -> CharTable:
-    """Parse measured operating points; `calib` lines are handled elsewhere."""
+    """Parse measured operating points (``op``) and silicon calibration
+    factors (``calib``) in one pass."""
     rows: list[CharRow] = []
-    seen: set[tuple[str, float]] = set()
-    grammar = {"op": (("vdd", "fmax_mhz", "area_um2", "cap_factor"), ()), "calib": None}
-    for line_no, _, name, attrs in _statements("characterization", _token_lines(char_text), grammar):
-        vdd = _float("characterization", line_no, "vdd", attrs["vdd"])
-        fmax = _float("characterization", line_no, "fmax_mhz", attrs["fmax_mhz"])
-        area = _float("characterization", line_no, "area_um2", attrs["area_um2"])
-        cap_factor = _float("characterization", line_no, "cap_factor", attrs["cap_factor"])
+    entries: list[CalibrationEntry] = []
+    seen: set[tuple] = set()  # (class, vdd) of op rows, (class, temp, source) of calib entries
+    src = "characterization"
+    grammar = {"op": (("vdd", "fmax_mhz", "area_um2", "cap_factor"), ()), "calib": (("temp", "source", "factor"), ())}
+    for line_no, directive, name, attrs in _statements(src, _token_lines(char_text), grammar):
+        if directive == "calib":
+            temp = _int(src, line_no, "temp", attrs["temp"])
+            if attrs["source"] not in ("model", "silicon"):
+                raise ParseError(src, line_no, f"bad source '{attrs['source']}' (want model or silicon)")
+            factor = _float(src, line_no, "factor", attrs["factor"])
+            if factor <= 1:
+                raise ParseError(src, line_no, f"factor must exceed 1, got '{attrs['factor']}'")
+            key = (name, temp, attrs["source"])
+            if key in seen:
+                raise ParseError(src, line_no, f"duplicate calibration entry {key}")
+            seen.add(key)
+            entries.append(CalibrationEntry(name, temp, attrs["source"], factor))
+            continue
+        vdd = _float(src, line_no, "vdd", attrs["vdd"])
+        fmax = _float(src, line_no, "fmax_mhz", attrs["fmax_mhz"])
+        area = _float(src, line_no, "area_um2", attrs["area_um2"])
+        cap_factor = _float(src, line_no, "cap_factor", attrs["cap_factor"])
         if (name, vdd) in seen:
-            raise ParseError("characterization", line_no, f"duplicate row for ({name}, {attrs['vdd']})")
+            raise ParseError(src, line_no, f"duplicate row for ({name}, {attrs['vdd']})")
         if fmax <= 0 or area <= 0:
-            raise ParseError("characterization", line_no, "fmax_mhz and area_um2 must be positive")
+            raise ParseError(src, line_no, "fmax_mhz and area_um2 must be positive")
         if cap_factor <= 0:
-            raise ParseError("characterization", line_no, "cap_factor must be positive")
+            raise ParseError(src, line_no, "cap_factor must be positive")
         seen.add((name, vdd))
         rows.append(CharRow(name, vdd, fmax, area, cap_factor))
-    return CharTable(tuple(rows))
+    return CharTable(tuple(rows), CalibrationTable(tuple(entries)))

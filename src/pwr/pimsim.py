@@ -228,13 +228,16 @@ def pim_run_script(config: PimConfig | None, script: tuple[ScriptCommand, ...] |
     """Drive the register interface from a timed command list."""
     state = pim_new(config)
     events: list[tuple[float, str]] = []
-    for command in script:
+    for position, command in enumerate(script, start=1):
         if command.time_ns < state.now:
             raise ValueError(f"script times must be non-decreasing (got {command.time_ns:g} ns)")
         state, due = pim_advance(state, command.time_ns - state.now)
         events.extend(due)
         if command.op == "write_sleep":
-            state = pim_write_sleep(state, command.value)
+            try:
+                state = pim_write_sleep(state, command.value)
+            except ValueError as err:
+                raise ValueError(f"script command {position} at {command.time_ns:g} ns: {err}") from None
             events.append((state.now, "WRITE_SLEEP"))
         elif command.op == "read_status":
             events.append((state.now, f"STATUS={pim_read_status(state).value}"))
@@ -257,8 +260,10 @@ def parse_script(text: str) -> tuple[ScriptCommand, ...]:
             raise ParseError("script", line_no, f"unknown command '{op}'")
         value: bool | None = None
         if len(tokens) > 3:
-            if op != "write_sleep" or tokens[3] not in ("0", "1") or len(tokens) > 4:
+            if op != "write_sleep" or tokens[3] not in ("0", "1"):
                 raise ParseError("script", line_no, f"unexpected token '{tokens[3]}'")
+            if len(tokens) > 4:
+                raise ParseError("script", line_no, f"unexpected token '{tokens[4]}'")
             value = tokens[3] == "1"
         commands.append(ScriptCommand(time_ns, op, value))
     return tuple(commands)

@@ -13,7 +13,8 @@ with S the sub-threshold slope in volts per decade.  Driving the sleep
 gate to -0.3 V cuts the 0.5 uA zero-bias device leakage by about 260x.
 Measured-silicon reduction factors for whole gates and SRAM ship in
 ``DEFAULT_CALIBRATION``; they are deliberately kept separate from the
-device-level curve.
+device-level curve.  A characterization file's ``calib`` lines give a
+table of the same shape (``parse_characterization(text).calibration``).
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ import math
 import statistics
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .netlist import ActivityProfile, Design, ParseError, _float, _int, _statements, _token_lines
+from .netlist import CalibrationEntry, CalibrationTable, Design
 
 __all__ = [
     "DynamicPowerParams",
     "LeakageModel",
-    "CalibrationEntry",
-    "CalibrationTable",
     "DEFAULT_CALIBRATION",
     "Severity",
     "LeakageMechanism",
@@ -44,7 +43,6 @@ __all__ = [
     "fit_subthreshold_slope",
     "static_power",
     "power_report",
-    "parse_calibration",
 ]
 
 
@@ -191,26 +189,6 @@ LEAKAGE_MECHANISMS: tuple[LeakageMechanism, ...] = (
 # ---------------------------------------------------------------------------
 # silicon calibration factors
 
-
-@dataclass(frozen=True)
-class CalibrationEntry:
-    device_class: str
-    temp_c: int
-    source: str  # "model" | "silicon"
-    reduction_factor: float
-
-
-@dataclass(frozen=True)
-class CalibrationTable:
-    entries: tuple[CalibrationEntry, ...] = ()
-
-    def factor(self, device_class: str, temp_c: float, source: str) -> float:
-        for entry in self.entries:
-            if (entry.device_class, entry.temp_c, entry.source) == (device_class, temp_c, source):
-                return entry.reduction_factor
-        raise ValueError(f"no calibration entry for ({device_class}, {temp_c} C, {source})")
-
-
 # Leakage-reduction factors for the gate-bias test chip: Spice-model
 # prediction next to the measured silicon, per device class and temperature.
 DEFAULT_CALIBRATION = CalibrationTable((
@@ -221,27 +199,6 @@ DEFAULT_CALIBRATION = CalibrationTable((
     CalibrationEntry("sram", 125, "model", 8.1),
     CalibrationEntry("sram", 125, "silicon", 10.0),
 ))
-
-
-def parse_calibration(text: str) -> CalibrationTable:
-    """Read ``calib <class> temp=<int> source=<model|silicon> factor=<float>``
-    lines out of a characterization file."""
-    entries: list[CalibrationEntry] = []
-    seen: set[tuple[str, int, str]] = set()
-    grammar = {"calib": (("temp", "source", "factor"), ()), "op": None}
-    for line_no, _, name, attrs in _statements("characterization", _token_lines(text), grammar):
-        temp = _int("characterization", line_no, "temp", attrs["temp"])
-        if attrs["source"] not in ("model", "silicon"):
-            raise ParseError("characterization", line_no, f"bad source '{attrs['source']}' (want model or silicon)")
-        factor = _float("characterization", line_no, "factor", attrs["factor"])
-        if factor <= 1:
-            raise ParseError("characterization", line_no, f"factor must exceed 1, got '{attrs['factor']}'")
-        key = (name, temp, attrs["source"])
-        if key in seen:
-            raise ParseError("characterization", line_no, f"duplicate calibration entry {key}")
-        seen.add(key)
-        entries.append(CalibrationEntry(name, temp, attrs["source"], factor))
-    return CalibrationTable(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +240,18 @@ class PowerReport:
         return self.total_dynamic_w + self.total_static_active_w + self.total_static_sleep_w
 
 
-def dynamic_power(design: Design, activity: ActivityProfile, params: DynamicPowerParams) -> PowerReport:
+def dynamic_power(design: Design, activity: Mapping[str, float], params: DynamicPowerParams) -> PowerReport:
     """Per-island dynamic power; a net is charged to its driving island.
 
     Summation runs in net declaration order so results are reproducible.
-    Port-driven nets carry no cell capacitance and contribute nothing.  The
+    Port-driven nets carry no cell capacitance and contribute nothing, nor
+    do nets missing from ``activity`` (zero switching activity).  The
     terms come from the design's cached topology; only supplies and
     activity are read per call.
     """
     vdd_by_island = {island.name: island.vdd for island in design.islands}
     per_island = dict.fromkeys(vdd_by_island, 0.0)
-    k, f_clk_mhz, sa = params.k, params.f_clk_mhz, activity.sa_by_net.get
+    k, f_clk_mhz, sa = params.k, params.f_clk_mhz, activity.get
     for island, terms in design.topology.dynamic_terms.items():
         vdd = vdd_by_island[island]
         total = 0.0
@@ -346,7 +304,7 @@ def static_power(
 
 def power_report(
     design: Design,
-    activity: ActivityProfile,
+    activity: Mapping[str, float],
     params: DynamicPowerParams,
     sleeping: Iterable[str] = (),
     temp_c: float = 25.0,

@@ -37,7 +37,6 @@ class Report:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     assumptions: tuple[tuple[str, object], ...] = ()
-    version: str = TOOL_VERSION
 
 
 def _text_cell(value: object) -> str:
@@ -58,7 +57,7 @@ def _raw_cell(value: object) -> str:
 
 def emit_report(report: Report, fmt: str = "text") -> str:
     if fmt == "text":
-        header = [f"# {report.kind} (pwr {report.version})"]
+        header = [f"# {report.kind} (pwr {TOOL_VERSION})"]
         header += [f"# {key} = {_text_cell(value)}" for key, value in report.assumptions]
         grid = [report.columns] + [tuple(_text_cell(v) for v in row) for row in report.rows]
         widths = [max(len(r[i]) for r in grid) for i in range(len(report.columns))]
@@ -67,7 +66,7 @@ def emit_report(report: Report, fmt: str = "text") -> str:
     if fmt == "json":
         doc = {
             "kind": report.kind,
-            "version": report.version,
+            "version": TOOL_VERSION,
             "assumptions": {key: value for key, value in report.assumptions},
             "rows": [dict(zip(report.columns, row)) for row in report.rows],
         }

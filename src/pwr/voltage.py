@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .crossings import IssueKind, analyze_crossings
-from .netlist import ActivityProfile, CharRow, CharTable, Design
+from .netlist import CharRow, CharTable, Design
 from .power import DynamicPowerParams, dynamic_power
 
 __all__ = [
@@ -142,7 +142,7 @@ def power_savings_summary(
     baseline_v: float,
     plan: VoltagePlan,
     design: Design,
-    activity: ActivityProfile,
+    activity: Mapping[str, float],
     params: DynamicPowerParams,
 ) -> SavingsReport:
     """Per-island and SoC-level dynamic savings versus a single-voltage baseline.

@@ -11,7 +11,6 @@ from pwr.netlist import (
     _KIND_BY_VALUE,
     _NETLIST_GRAMMAR,
     FIX_KINDS,
-    ActivityProfile,
     CellInstance,
     CellKind,
     Design,
@@ -214,7 +213,7 @@ def reference_crossings(design: Design, assume_transmission_gates: bool = False)
     return [issue for group in groups.values() for issue in group.values()]
 
 
-def reference_dynamic_w(design: Design, activity: ActivityProfile, params: DynamicPowerParams) -> list[float]:
+def reference_dynamic_w(design: Design, activity: dict[str, float], params: DynamicPowerParams) -> list[float]:
     """Per-island dynamic power from a per-net loop over the raw tuples."""
     islands = {i.name: i for i in design.islands}
     cells = {c.name: c for c in design.cells}
@@ -225,7 +224,7 @@ def reference_dynamic_w(design: Design, activity: ActivityProfile, params: Dynam
             continue
         vdd = islands[driver.island].vdd
         per_island[driver.island] += (
-            params.k * driver.cap_ff * 1e-15 * vdd * vdd * params.f_clk_mhz * 1e6 * activity.sa(net.name)
+            params.k * driver.cap_ff * 1e-15 * vdd * vdd * params.f_clk_mhz * 1e6 * activity.get(net.name, 0.0)
         )
     return [per_island[i.name] for i in design.islands]
 
@@ -342,13 +341,16 @@ def reference_pim_run_script(
     changed field set; `pimsim.pim_run_script` must give the same events."""
     state = ReferencePimState(config or PimConfig())
     events: list[tuple[float, str]] = []
-    for command in script:
+    for position, command in enumerate(script, start=1):
         if command.time_ns < state.now:
             raise ValueError(f"script times must be non-decreasing (got {command.time_ns:g} ns)")
         state, due = reference_pim_advance(state, command.time_ns - state.now)
         events.extend(due)
         if command.op == "write_sleep":
-            state = reference_pim_write_sleep(state, command.value)
+            try:
+                state = reference_pim_write_sleep(state, command.value)
+            except ValueError as err:
+                raise ValueError(f"script command {position} at {command.time_ns:g} ns: {err}") from None
             events.append((state.now, "WRITE_SLEEP"))
         elif command.op == "read_status":
             events.append((state.now, f"STATUS={reference_pim_read_status(state).value}"))

@@ -9,7 +9,7 @@ import pytest
 from conftest import CHAR_TEXT, THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
 from helpers import check_trace_safety, random_design, random_script
 from pwr.crossings import IssueKind, analyze_crossings, apply_power_fixes
-from pwr.netlist import ActivityProfile, parse_characterization, parse_design, validate_design
+from pwr.netlist import parse_characterization, parse_design, validate_design
 from pwr.pimsim import PimConfig, pim_advance, pim_new, pim_run_script, pim_write_sleep
 from pwr.power import (
     DEFAULT_CALIBRATION,
@@ -108,7 +108,7 @@ def test_criterion_5_operating_point_selection():
 def test_criterion_6_savings_pipeline():
     design = parse_design(THREE_ISLAND_NETLIST, THREE_ISLAND_INTENT)
     table = parse_characterization(CHAR_TEXT)
-    activity = ActivityProfile({n.name: 1.0 for n in design.nets})
+    activity = {n.name: 1.0 for n in design.nets}
 
     low = assign_voltages(design, table, {"cpu": 150.0, "mem": 150.0}, {"usb": 1.2})
     rows = {r.island: r for r in power_savings_summary(

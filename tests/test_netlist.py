@@ -28,7 +28,6 @@ from pwr.netlist import (
     serialize_design,
     validate_design,
 )
-from pwr.power import parse_calibration
 
 
 def test_parse_three_island_soc(soc3):
@@ -407,18 +406,18 @@ def test_sleep_attribute_roundtrips():
 
 def test_activity_basic_arithmetic():
     profile = parse_activity("net a toggles=30 duration_ns=1000\n", 150.0)
-    assert profile.sa("a") == pytest.approx(0.2)
+    assert profile.get("a", 0.0) == pytest.approx(0.2)
 
 
 def test_activity_zero_toggles_and_default():
     profile = parse_activity("net a toggles=0 duration_ns=1000\n", 150.0)
-    assert profile.sa("a") == 0.0
-    assert profile.sa("missing") == 0.0  # absent nets default to zero
+    assert profile.get("a", 0.0) == 0.0
+    assert profile.get("missing", 0.0) == 0.0  # absent nets default to zero
 
 
 def test_activity_clock_like_hits_cap_boundary():
     profile = parse_activity("net clk toggles=300 duration_ns=1000\n", 150.0)
-    assert profile.sa("clk") == pytest.approx(2.0)
+    assert profile.get("clk", 0.0) == pytest.approx(2.0)
 
 
 def test_activity_errors():
@@ -455,7 +454,7 @@ def test_activity_invariant_under_window_split(toggles, duration, split, f_clk):
         f"net a toggles={toggles - t1} duration_ns={duration - d1}\n",
         f_clk,
     )
-    assert two.sa("a") == pytest.approx(whole.sa("a"), rel=1e-9)
+    assert two.get("a", 0.0) == pytest.approx(whole.get("a", 0.0), rel=1e-9)
 
 
 # -- characterization ---------------------------------------------------------
@@ -500,7 +499,7 @@ def test_parse_characterization_rejects_nonpositive():
         (lambda t: parse_design(t, "island x vdd=1.0\n"), _CELL + "port p dir=in vdd=-inf\n"),
         (lambda t: parse_activity(t, 100.0), "net n toggles=1 duration_ns=10\nnet n toggles=1 duration_ns=inf\n"),
         (parse_characterization, "# ops\nop x vdd=nan fmax_mhz=inf area_um2=1 cap_factor=1\n"),
-        (parse_calibration, "# calib\ncalib nand2 temp=25 source=silicon factor=inf\n"),
+        (parse_characterization, "# calib\ncalib nand2 temp=25 source=silicon factor=inf\n"),
         (parse_config, "t_save=10\nbias_v=nan\n"),
     ],
     ids=["intent", "netlist-cell", "netlist-port", "activity", "characterization", "calib", "config"],

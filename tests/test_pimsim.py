@@ -184,6 +184,22 @@ def test_toggle_mode_rejects_value():
         pim_write_sleep(pim_new(), True)
 
 
+@pytest.mark.parametrize(
+    "explicit_bit, text, message",
+    [
+        (True, "at 0 write_sleep 1\nat 200 write_sleep\n",
+         "script command 2 at 200 ns: explicit_bit mode requires a written value"),
+        (False, "at 0 read_status\nat 0.5 write_sleep 1\n",
+         "script command 2 at 0.5 ns: toggle mode takes no written value"),
+    ],
+    ids=["explicit-without-value", "toggle-with-value"],
+)
+def test_run_script_write_mode_mismatch_names_its_command(explicit_bit, text, message):
+    with pytest.raises(ValueError) as info:
+        pim_run_script(PimConfig(explicit_bit=explicit_bit), parse_script(text))
+    assert str(info.value) == message
+
+
 # -- script files ---------------------------------------------------------------
 
 
@@ -351,8 +367,10 @@ def test_derived_signals_match_reference_states(case):
         ("# one line\nat 5\n", "script line 2: expected 'at <ns> <command>', got 'at 5'"),
         ("at 0 read_status now\n", "script line 1: unexpected token 'now'"),
         ("at 0 write_sleep maybe\n", "script line 1: unexpected token 'maybe'"),
+        ("at 0 write_sleep maybe 1\n", "script line 1: unexpected token 'maybe'"),
+        ("at 0 write_sleep 1 2\n", "script line 1: unexpected token '2'"),
     ],
-    ids=["no-at", "no-command", "read_status-token", "write_sleep-token"],
+    ids=["no-at", "no-command", "read_status-token", "write_sleep-token", "bad-value-then-token", "value-then-token"],
 )
 def test_parse_script_rejections_give_their_exact_message(text, message):
     with pytest.raises(ParseError) as info:

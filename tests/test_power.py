@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwr.netlist import ActivityProfile, ParseError, parse_design
+from pwr.netlist import ParseError, parse_characterization, parse_design
 from pwr.power import (
     DEFAULT_CALIBRATION,
     LEAKAGE_MECHANISMS,
@@ -16,7 +16,6 @@ from pwr.power import (
     fit_subthreshold_slope,
     leakage_bias_sweep,
     leakage_current_per_gate,
-    parse_calibration,
     power_report,
     static_power,
     theoretical_reduction,
@@ -32,8 +31,8 @@ def _one_net_design(vdd: float, cap_ff: float):
     )
 
 
-def _profile(sa: float, f_clk: float) -> ActivityProfile:
-    return ActivityProfile({"n": sa})
+def _profile(sa: float, f_clk: float) -> dict[str, float]:
+    return {"n": sa}
 
 
 # -- dynamic ------------------------------------------------------------------
@@ -47,7 +46,7 @@ def test_dynamic_power_hand_value():
 
 
 def test_dynamic_power_zero_activity(soc3):
-    report = dynamic_power(soc3, ActivityProfile({}), DynamicPowerParams(150.0))
+    report = dynamic_power(soc3, {}, DynamicPowerParams(150.0))
     assert report.total_w == 0.0
 
 
@@ -275,7 +274,7 @@ def test_static_power_rejects_sleeping_non_switchable(soc3):
 
 
 def test_power_report_totals_are_sums(gated_soc):
-    activity = ActivityProfile({n.name: 0.3 for n in gated_soc.nets})
+    activity = {n.name: 0.3 for n in gated_soc.nets}
     report = power_report(
         gated_soc, activity, DynamicPowerParams(200.0), sleeping={"logic"},
         model=LeakageModel(i0_per_gate_25c=1e-9),
@@ -322,27 +321,24 @@ def test_calibration_sram_application():
 
 
 def test_calibration_override_file():
-    table = parse_calibration("calib nand2 temp=25 source=silicon factor=80.0\n")
+    table = parse_characterization("calib nand2 temp=25 source=silicon factor=80.0\n").calibration
     assert table.factor("nand2", 25, "silicon") == 80.0
 
 
 def test_char_and_calib_lines_share_one_file():
-    from pwr.netlist import parse_characterization
-
     text = "op cpu vdd=1.2 fmax_mhz=155 area_um2=1 cap_factor=1\ncalib nand2 temp=25 source=silicon factor=80\n"
-    assert [r.island_class for r in parse_characterization(text).rows] == ["cpu"]
-    assert [e.device_class for e in parse_calibration(text).entries] == ["nand2"]
+    table = parse_characterization(text)
+    assert [r.island_class for r in table.rows] == ["cpu"]
+    assert [e.device_class for e in table.calibration.entries] == ["nand2"]
 
 
 def test_calibration_file_rejects_bad_rows():
-    from pwr.netlist import ParseError
-
     with pytest.raises(ParseError, match="factor must exceed 1"):
-        parse_calibration("calib nand2 temp=25 source=model factor=0.5\n")
+        parse_characterization("calib nand2 temp=25 source=model factor=0.5\n")
     with pytest.raises(ParseError, match="line 1: bad temp '25.9'"):
-        parse_calibration("calib nand2 temp=25.9 source=model factor=2\n")
+        parse_characterization("calib nand2 temp=25.9 source=model factor=2\n")
     with pytest.raises(ParseError, match="duplicate calibration"):
-        parse_calibration(
+        parse_characterization(
             "calib nand2 temp=25 source=model factor=2\ncalib nand2 temp=25 source=model factor=3\n"
         )
 
@@ -376,7 +372,7 @@ def test_taxonomy_grid():
         (lambda: leakage_bias_sweep(steps=1), "v_stop must be <= 0 and steps >= 2"),
         (lambda: LEAKAGE_MECHANISMS[0].severity(65), "no severity recorded for 65 nm"),
         (
-            lambda: parse_calibration("calib nand2 temp=25 source=spice factor=2\n"),
+            lambda: parse_characterization("calib nand2 temp=25 source=spice factor=2\n"),
             "characterization line 1: bad source 'spice' (want model or silicon)",
         ),
     ],

@@ -17,7 +17,7 @@ from conftest import (
     THREE_ISLAND_NETLIST,
 )
 from pwr.cli import parse_config, run_cli
-from pwr.netlist import ActivityProfile, CellInstance, CellKind, Design, Island, validate_design
+from pwr.netlist import CellInstance, CellKind, Design, Island, validate_design
 from pwr.power import DynamicPowerParams, LeakageModel, dynamic_power, leakage_bias_sweep
 from pwr.report import (
     Report,
@@ -58,12 +58,12 @@ def workspace(tmp_path):
 
 def _sample_savings(soc3_design, table):
     plan = assign_voltages(soc3_design, table, {"cpu": 150.0, "mem": 150.0}, {"usb": 1.2})
-    activity = ActivityProfile({n.name: 1.0 for n in soc3_design.nets})
+    activity = {n.name: 1.0 for n in soc3_design.nets}
     return power_savings_summary(1.2, plan, soc3_design, activity, DynamicPowerParams(150.0))
 
 
 def test_text_uses_four_significant_digits(soc3):
-    activity = ActivityProfile({"cpu2usb": 0.123456})
+    activity = {"cpu2usb": 0.123456}
     report = power_to_report(dynamic_power(soc3, activity, DynamicPowerParams(150.0)))
     text = emit_report(report, "text")
     assert "1.422e-05" in text  # 1200 fF * 0.64 * 150 MHz * 0.123456, 4 sig figs
@@ -260,6 +260,45 @@ def test_sleep_sim_honors_config(workspace, capsys):
     args = ["sleep-sim", "--script", workspace["script"], "--config", str(config)]
     assert run_cli(args) == 0
     assert "15 BIAS=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "config_text, script, message",
+    [
+        ("explicit_bit=1\n", "at 200 write_sleep\n",
+         "script command 1 at 200 ns: explicit_bit mode requires a written value"),
+        ("", "at 0 write_sleep 1\n", "script command 1 at 0 ns: toggle mode takes no written value"),
+    ],
+    ids=["explicit-without-value", "toggle-with-value"],
+)
+def test_sleep_sim_write_mode_mismatch_exits_1_naming_its_command(workspace, capsys, config_text, script, message):
+    config = workspace["dir"] / "pim.cfg"
+    config.write_text(config_text)
+    (workspace["dir"] / "sleep.script").write_text(script)
+    assert run_cli(["sleep-sim", "--script", workspace["script"], "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"pwr: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "calib, message",
+    [
+        ("calib nand2\n", "missing attribute 'temp'"),
+        ("calib nand2 temp=hot source=spice factor=-3 bogus\n", "expected key=value, got 'bogus'"),
+        ("calib nand2 temp=25 source=spice factor=2\n", "bad source 'spice' (want model or silicon)"),
+    ],
+    ids=["bare", "bad-token", "bad-source"],
+)
+def test_optimize_rejects_a_malformed_calib_line(workspace, capsys, calib, message):
+    (workspace["dir"] / "soc.char").write_text(CHAR_TEXT + "# silicon factors\n" + calib)
+    argv = [
+        "optimize", "--netlist", workspace["netlist"], "--intent", workspace["intent"],
+        "--char", workspace["char"], "--freq-mhz", "150", "--pin", "usb=1.2",
+    ]
+    assert run_cli(argv) == 1
+    line = CHAR_TEXT.count("\n") + 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"pwr: error: characterization line {line}: {message}\n")
 
 
 def test_taxonomy_subcommand(capsys):

@@ -19,14 +19,13 @@ from helpers import (
     reference_static_w,
 )
 from pwr.crossings import analyze_crossings, verify_power_intent
-from pwr.netlist import ActivityProfile, CharRow, CharTable, Island, parse_design, validate_design
+from pwr.netlist import CharRow, CharTable, Island, parse_design, validate_design
 from pwr.power import DynamicPowerParams, LeakageModel, dynamic_power, static_power
 from pwr.voltage import assign_voltages
 
 
-def _activity(rng: random.Random, design) -> ActivityProfile:
-    sa = {n.name: rng.choice((0.0, 0.1, 0.37, 1.0, 2.0)) for n in design.nets if rng.random() < 0.8}
-    return ActivityProfile(sa)
+def _activity(rng: random.Random, design) -> dict[str, float]:
+    return {n.name: rng.choice((0.0, 0.1, 0.37, 1.0, 2.0)) for n in design.nets if rng.random() < 0.8}
 
 
 def _table(rng: random.Random, design) -> CharTable:
@@ -108,7 +107,7 @@ def test_index_built_under_thread_contention():
     """Threads racing to build one design's index all see the same results."""
     rng = random.Random(7)
     designs = [random_fixed_design(rng) for _ in range(20)]
-    activity = ActivityProfile({})
+    activity = {}
     params = DynamicPowerParams(150.0)
     expected = [(reference_crossings(d), reference_dynamic_w(d, activity, params)) for d in designs]
     results: dict[int, list] = {}

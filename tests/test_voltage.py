@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwr.netlist import ActivityProfile, CharRow, CharTable, parse_characterization, parse_design
+from pwr.netlist import CharRow, CharTable, parse_characterization, parse_design
 from pwr.power import DynamicPowerParams
 from pwr.voltage import (
     InfeasibleError,
@@ -118,7 +118,7 @@ def test_assign_never_alters_pinned(soc3, char_table):
 
 
 def _uniform_activity(design, f_clk):
-    return ActivityProfile({n.name: 1.0 for n in design.nets})
+    return {n.name: 1.0 for n in design.nets}
 
 
 def test_savings_calibrated_capacitance_points(soc3, char_table):
