@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterator
 
 from .netlist import (
     SLEEPABLE_KINDS,
@@ -78,26 +79,27 @@ def analyze_crossings(design: Design, assume_transmission_gates: bool = False) -
     Port endpoints carry no island and are skipped.  The walk itself is
     cached on the design's topology; only the supplies are read per call.
     """
+    return [CrossingIssue(*issue) for issue in _crossings(design, assume_transmission_gates)]
+
+
+def _crossings(design: Design,
+               assume_transmission_gates: bool = False) -> Iterator[tuple[str, str, str, IssueKind, float, float]]:
+    """The fields of each ``analyze_crossings`` issue, in its order, as a
+    plain tuple: for callers that only count the issues."""
     islands = design.islands_by_name()
-    issues: list[CrossingIssue] = []
     for net, driver_name, terminals in design.topology.crossing_walks:
-        driver_island = islands[driver_name]
+        switchable = islands[driver_name].switchable
         seen: set[tuple[str, IssueKind]] = set()
         for receiver_name, swing_island, isolated in terminals:
-            receiver = islands[receiver_name]
-            eff_vdd = islands[swing_island].vdd
-            needs_shift = eff_vdd < receiver.vdd or (assume_transmission_gates and eff_vdd > receiver.vdd)
+            receiver_v = islands[receiver_name].vdd
+            swing_v = islands[swing_island].vdd
+            needs_shift = swing_v < receiver_v or (assume_transmission_gates and swing_v > receiver_v)
             if needs_shift and (receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER) not in seen:
                 seen.add((receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER))
-                issues.append(CrossingIssue(
-                    net, driver_name, receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER, eff_vdd, receiver.vdd,
-                ))
-            if driver_island.switchable and not isolated and (receiver_name, IssueKind.NEEDS_ISOLATION) not in seen:
+                yield net, driver_name, receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER, swing_v, receiver_v
+            if switchable and not isolated and (receiver_name, IssueKind.NEEDS_ISOLATION) not in seen:
                 seen.add((receiver_name, IssueKind.NEEDS_ISOLATION))
-                issues.append(CrossingIssue(
-                    net, driver_name, receiver_name, IssueKind.NEEDS_ISOLATION, eff_vdd, receiver.vdd,
-                ))
-    return issues
+                yield net, driver_name, receiver_name, IssueKind.NEEDS_ISOLATION, swing_v, receiver_v
 
 
 def _unique(name: str, taken: set[str]) -> str:

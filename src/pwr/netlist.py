@@ -23,7 +23,11 @@ attribute dict per line.  Any such line it rejects is read again by
 they always gave, so the values and errors are those of the checked reader.
 The few ``port`` lines go through the checked reader directly.
 ``parse_design`` checks no design invariant itself: it runs the same walk
-as ``validate_design`` and reports the first fault at its line.
+as ``validate_design`` and reports the first fault at its line.  It keeps
+no line numbers while reading: only a design with a fault scans the texts
+again to find the line of each statement.
+``parse_activity`` reads its ``net`` lines the same direct way, and any
+line it rejects is read again by the checked reader for its error.
 
 Every parsed record is immutable after construction, so designs and tables
 can be shared freely across threads.  ``parse_activity`` returns a plain
@@ -38,7 +42,15 @@ being a tuple subclass, is tracked for life).  ``Net.driver`` and
 plain pairs and return ``Endpoint`` views built on each read.  The stages
 read the raw tuples.  The parser and the fixer build ``Net`` and
 ``CellInstance`` records from values they have already checked by writing
-straight into the slots (``_make_net``, ``_make_cell``).
+straight into the slots (``_make_net``, ``_make_cell``).  Each name is
+stored once: ``parse_design`` passes every cell, port, island and pin text
+through a symbol table local to the call, so an endpoint's cell is the very
+``CellInstance.name`` or ``Port.name`` object and a cell's island is its
+``Island.name``, and ``parse_activity`` with ``design=`` keys its result by
+the design's ``Net.name`` objects.  The table is a plain dict dropped after
+the line loop, not ``sys.intern``: interned strings are immortal on
+CPython 3.12, so a process that parses many designs would keep every name
+it ever read.
 
 A ``Design`` also carries a topology index (name maps, gate sums per
 island, dynamic-power terms and the crossing walk), built member by member
@@ -558,8 +570,6 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
     ``validate_design`` would report (intent before netlist, then by line).
     """
     islands: list[Island] = []
-    # line numbers per statement category, aligned with the Design tuples
-    lines: dict[str, list[int]] = {"island": [], "cell": [], "net": [], "port": []}
     for line_no, _, name, attrs in _statements("intent", _token_lines(intent_text), _INTENT_GRAMMAR):
         islands.append(Island(
             name,
@@ -567,12 +577,15 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
             _flag("intent", line_no, "switchable", attrs.get("switchable", "0")),
             _flag("intent", line_no, "retention", attrs.get("retention", "0")),
         ))
-        lines["island"].append(line_no)
 
     cells: list[CellInstance] = []
     nets: list[Net] = []
     ports: list[Port] = []
-    cell_lines, net_lines, port_lines = lines["cell"], lines["net"], lines["port"]
+    # One str object per distinct text: cell and port names (the endpoint
+    # namespace) in one table, island and pin texts in a small second one
+    # that starts with the intent's own island names.
+    name_of = {}.setdefault
+    label_of = {island.name: island.name for island in islands}.setdefault
     kinds = _KIND_BY_VALUE
     isfinite = math.isfinite
     try:
@@ -608,9 +621,9 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
                 if kind not in kinds or island is None or not isfinite(cap) or sleep not in (None, "0", "1"):
                     raise ValueError
                 cells.append(_make_cell(
-                    name, kinds[kind], island, cap, 1 if gates is None else int(gates), sleep == "1",
+                    name_of(name, name), kinds[kind], label_of(island, island), cap,
+                    1 if gates is None else int(gates), sleep == "1",
                 ))
-                cell_lines.append(line_no)
             elif directive == "net":
                 driver = loads = None
                 for attr in attrs:
@@ -623,40 +636,50 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
                         raise ValueError
                 if driver is None:
                     raise ValueError
-                # rpartition(".")[::2] is an exact (cell, pin) tuple, with an
-                # empty string for a missing cell or pin
-                raw_driver = driver.rpartition(".")[::2]
-                raw_loads = () if loads is None else tuple(
-                    [item.rpartition(".")[::2] for item in loads.split(",") if item]
-                )
+                # rpartition(".") gives an empty cell or pin where one is missing
+                cell, _, pin = driver.rpartition(".")
+                raw_driver = (name_of(cell, cell), label_of(pin, pin))
                 if "" in raw_driver:
                     raise ValueError
-                for cell, pin in raw_loads:
-                    if not cell or not pin:
-                        raise ValueError
-                nets.append(_make_net(name, raw_driver, raw_loads))
-                net_lines.append(line_no)
+                raw_loads: list[tuple[str, str]] = []
+                if loads is not None:
+                    for item in loads.split(","):
+                        if item:
+                            cell, _, pin = item.rpartition(".")
+                            if not cell or not pin:
+                                raise ValueError
+                            raw_loads.append((name_of(cell, cell), label_of(pin, pin)))
+                nets.append(_make_net(name, raw_driver, tuple(raw_loads)))
             elif directive == "port":
                 # a handful per design: the checked reader raises its own ParseError
                 _, _, _, port = next(_statements("netlist", [(line_no, tokens)], _NETLIST_GRAMMAR))
-                ports.append(Port(name, port["dir"], _float("netlist", line_no, "vdd", port["vdd"])))
-                port_lines.append(line_no)
+                ports.append(Port(name_of(name, name), port["dir"], _float("netlist", line_no, "vdd", port["vdd"])))
             else:
                 raise ValueError
     except ValueError:
         raise _netlist_fault(line_no, tokens) from None
+    del name_of, label_of  # the tables are not needed past the line loop
 
     design = Design(tuple(islands), tuple(cells), tuple(nets), tuple(ports))
-    fault = min(
-        _design_faults(design),
-        key=lambda f: (f[0] != "island", lines[f[0]][f[1]]),
-        default=None,
-    )
-    if fault is not None:
+    faults = list(_design_faults(design))
+    if faults:
+        lines = _statement_lines(intent_text, netlist_text)
+        fault = min(faults, key=lambda f: (f[0] != "island", lines[f[0]][f[1]]))
         category, index, _ = fault
         source = "intent" if category == "island" else "netlist"
         raise ParseError(source, lines[category][index], str(_design_error(design, *fault)))
     return design
+
+
+def _statement_lines(intent_text: str, netlist_text: str) -> dict[str, list[int]]:
+    """The line number of every statement, by directive and in file order,
+    of texts ``parse_design`` has read: the index of a fault in a category
+    (``_design_faults``) is an index into its list."""
+    lines: dict[str, list[int]] = {"island": [], "cell": [], "net": [], "port": []}
+    for text in (intent_text, netlist_text):
+        for line_no, tokens in _token_lines(text):
+            lines[tokens[0]].append(line_no)
+    return lines
 
 
 def _netlist_fault(line_no: int, tokens: list[str]) -> ParseError:
@@ -786,9 +809,13 @@ def serialize_design(design: Design) -> tuple[str, str]:
 # activity and characterization parsing
 
 
+_ACTIVITY_GRAMMAR = {"net": (("toggles", "duration_ns"), ())}
+
+
 def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None = None) -> dict[str, float]:
     """Turn toggle counts into switching activity: toggles per clock cycle of
-    ``f_clk_mhz``, by net name.
+    ``f_clk_mhz``, by net name (with ``design``, by the design's own
+    ``Net.name`` strings).
 
     sa = toggles / (duration_ns * f_clk_GHz).  Repeated lines for one net
     merge as consecutive observation windows.  Activity is capped at
@@ -802,20 +829,53 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
     known = design.nets_by_name() if design is not None else None
     toggles: dict[str, int] = {}
     durations: dict[str, float] = {}
-    grammar = {"net": (("toggles", "duration_ns"), ())}
-    for line_no, _, name, attrs in _statements("activity", _token_lines(activity_text), grammar):
-        if known is not None and name not in known:
-            raise ParseError("activity", line_no, f"unknown net '{name}'")
-        count = _int("activity", line_no, "toggles", attrs["toggles"])
-        if count < 0:
-            raise ParseError("activity", line_no, f"toggles must be >= 0, got '{attrs['toggles']}'")
-        duration = _float("activity", line_no, "duration_ns", attrs["duration_ns"])
-        if duration <= 0:
-            raise ParseError("activity", line_no, f"duration_ns must be positive, got '{attrs['duration_ns']}'")
+    inf = math.inf
+    for line_no, raw in enumerate(activity_text.splitlines(), start=1):
+        # as _token_lines: the text before any "#", split at whitespace
+        tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
+        if not tokens:
+            continue
+        # Every check below raises ValueError or KeyError, and only on a line
+        # the checked reader rejects too; ``_activity_line`` then names the fault.
+        try:
+            directive, name, *attrs = tokens
+            if directive != "net" or "=" in name:
+                raise ValueError
+            count = duration = None
+            for attr in attrs:
+                key, _, value = attr.partition("=")
+                if key == "toggles" and count is None:
+                    count = int(value)
+                elif key == "duration_ns" and duration is None:
+                    duration = float(value)
+                else:
+                    raise ValueError
+            if count is None or count < 0 or duration is None or not 0 < duration < inf:
+                raise ValueError
+            if known is not None:
+                name = known[name].name
+        except (ValueError, KeyError):
+            name, count, duration = _activity_line(line_no, tokens, known)
         toggles[name] = toggles.get(name, 0) + count
         durations[name] = durations.get(name, 0.0) + duration
 
     return {name: min(toggles[name] / (durations[name] * f_clk_mhz * 1e-3), SA_MAX) for name in toggles}
+
+
+def _activity_line(line_no: int, tokens: list[str], known: Mapping[str, Net] | None) -> tuple[str, int, float]:
+    """``(net name, toggles, duration_ns)`` of one activity line, read by
+    ``_statements`` and the checked converters, which raise the
+    ``ParseError`` of the line's first fault."""
+    _, _, name, attrs = next(_statements("activity", [(line_no, tokens)], _ACTIVITY_GRAMMAR))
+    if known is not None and name not in known:
+        raise ParseError("activity", line_no, f"unknown net '{name}'")
+    count = _int("activity", line_no, "toggles", attrs["toggles"])
+    if count < 0:
+        raise ParseError("activity", line_no, f"toggles must be >= 0, got '{attrs['toggles']}'")
+    duration = _float("activity", line_no, "duration_ns", attrs["duration_ns"])
+    if duration <= 0:
+        raise ParseError("activity", line_no, f"duration_ns must be positive, got '{attrs['duration_ns']}'")
+    return (name if known is None else known[name].name), count, duration
 
 
 def parse_characterization(char_text: str) -> CharTable:

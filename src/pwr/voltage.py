@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .crossings import IssueKind, analyze_crossings
+from .crossings import IssueKind, _crossings
 from .netlist import CharRow, CharTable, Design
 from .power import DynamicPowerParams, dynamic_power
 
@@ -158,9 +158,8 @@ def power_savings_summary(
     for mine, theirs in ((design.cells, planned.cells), (design.nets, planned.nets)):
         if mine is not theirs and mine != theirs:
             raise ValueError("design differs from the one the plan was built for")
-    issues = analyze_crossings(planned)
-    shifters = Counter(i.receiver_island for i in issues if i.kind is IssueKind.NEEDS_LEVEL_SHIFTER)
-    isolations = Counter(i.receiver_island for i in issues if i.kind is IssueKind.NEEDS_ISOLATION)
+    # fix cells per (receiving island, kind), counted without building issues
+    added = Counter((receiver, kind) for _, _, receiver, kind, _, _ in _crossings(planned))
 
     baseline_design = design.with_supplies(dict.fromkeys(design.islands_by_name(), baseline_v))
     base = dynamic_power(baseline_design, activity, params)
@@ -190,8 +189,8 @@ def power_savings_summary(
             theoretical_pct=theoretical,
             actual_pct=actual,
             area_delta_pct=area_delta,
-            levelshifters_added=shifters.get(island.name, 0),
-            iso_added=isolations.get(island.name, 0),
+            levelshifters_added=added[island.name, IssueKind.NEEDS_LEVEL_SHIFTER],
+            iso_added=added[island.name, IssueKind.NEEDS_ISOLATION],
             within_theoretical=actual <= theoretical + 1e-9,
         ))
         base_w = base_by_island.get(island.name, 0.0)

@@ -438,6 +438,69 @@ def test_activity_unknown_net_with_design(soc3):
         parse_activity("net nope toggles=1 duration_ns=10\n", 100.0, design=soc3)
 
 
+# Line 1 is a valid line with a trailing comment and line 2 is blank, so
+# each case's own line is line 3.
+_ACTIVITY_HEAD = "net cpu2usb toggles=2 duration_ns=10  # toggles=x bogus\n\n"
+
+
+@pytest.mark.parametrize("with_design", (False, True), ids=("plain", "design"))
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("net cpu2usb toggles=1", "missing attribute 'duration_ns'"),
+        ("net cpu2usb toggles=1 toggles=2 duration_ns=10", "duplicate attribute 'toggles'"),
+        ("net cpu2usb toggles=1 duration_ns=10 glitches=3", "unknown attribute 'glitches'"),
+        ("net cpu2usb toggles= duration_ns=10", "expected key=value, got 'toggles='"),
+        ("net cpu2usb toggles=1.5 duration_ns=10", "bad toggles '1.5' (want an integer)"),
+        ("net cpu2usb toggles=-1 duration_ns=10", "toggles must be >= 0, got '-1'"),
+        ("net cpu2usb toggles=1 duration_ns=0", "duration_ns must be positive, got '0'"),
+        ("net cpu2usb toggles=1 duration_ns=nan", "duration_ns must be finite, got 'nan'"),
+        ("net cpu2usb toggles=1 duration_ns=inf", "duration_ns must be finite, got 'inf'"),
+        ("net cpu=usb toggles=1 duration_ns=10", "'net' statement needs a name"),
+        ("net", "'net' statement needs a name"),
+        ("cell cpu2usb toggles=1 duration_ns=10", "unknown directive 'cell'"),
+        ("net cpu2usb toggles=1 duration_ns=10 # note\nnet cpu2usb duration_ns=10", "missing attribute 'toggles'"),
+    ],
+    ids=[
+        "missing", "duplicate", "unknown-attribute", "empty-value", "fractional-toggles", "negative-toggles",
+        "zero-duration", "nan", "inf", "name-with-equals", "one-token", "directive", "after-trailing-comment",
+    ],
+)
+def test_activity_rejections_give_their_exact_message_and_line(soc3, with_design, line, message):
+    line_no = 3 + line.count("\n")
+    with pytest.raises(ParseError) as info:
+        parse_activity(_ACTIVITY_HEAD + line + "\n", 100.0, design=soc3 if with_design else None)
+    assert (str(info.value), info.value.line_no) == (f"activity line {line_no}: {message}", line_no)
+
+
+def test_activity_unknown_net_gives_its_exact_message_and_line(soc3):
+    # the net is checked before its values
+    with pytest.raises(ParseError) as info:
+        parse_activity(_ACTIVITY_HEAD + "net nope toggles=1.5 duration_ns=0\n", 100.0, design=soc3)
+    assert (str(info.value), info.value.line_no) == ("activity line 3: unknown net 'nope'", 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_parsed_names_are_one_object_each(seed):
+    design = random_fixed_design(random.Random(seed))
+    parsed = parse_design(*serialize_design(design))
+    assert parsed == design
+    endpoints = {c.name: c.name for c in parsed.cells} | {p.name: p.name for p in parsed.ports}
+    islands = {i.name: i.name for i in parsed.islands}
+    assert all(cell.island is islands[cell.island] for cell in parsed.cells)
+    pins: dict[str, str] = {}
+    for net in parsed.nets:
+        for cell, pin in (net.raw_driver, *net.raw_loads):
+            assert cell is endpoints[cell]
+            assert pin is pins.setdefault(pin, pin)
+    # every net twice, the second window in reverse net order
+    lines = [f"net {n.name} toggles=3 duration_ns=100" for n in parsed.nets]
+    activity = parse_activity("\n".join(lines + lines[::-1]), 100.0, design=parsed)
+    nets = {n.name: n.name for n in parsed.nets}
+    assert len(activity) == len(nets) and all(name is nets[name] for name in activity)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     toggles=st.integers(2, 10**6),
