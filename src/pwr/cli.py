@@ -13,7 +13,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins, verify_power_intent
-from .netlist import ParseError, parse_activity, parse_characterization, parse_design, serialize_design
+from .netlist import ParseError, _attrs, _flag, _float, _token_lines
+from .netlist import parse_activity, parse_characterization, parse_design, serialize_design
 from .pimsim import PimConfig, parse_script, pim_run_script, trace_to_vcd
 from .power import DynamicPowerParams, LeakageModel, power_report
 from .report import (
@@ -27,8 +28,9 @@ from .report import (
 )
 from .voltage import InfeasibleError, assign_voltages, power_savings_summary
 
-_CONFIG_KEYS = {f.name for cls in (LeakageModel, PimConfig) for f in fields(cls)}
-_BOOL_KEYS = {"explicit_bit"}
+_CONFIG_FIELDS = [f for cls in (LeakageModel, PimConfig) for f in fields(cls)]
+_CONFIG_KEYS = tuple(f.name for f in _CONFIG_FIELDS)
+_BOOL_KEYS = {f.name for f in _CONFIG_FIELDS if isinstance(f.default, bool)}
 
 
 class _UsageError(Exception):
@@ -63,30 +65,14 @@ def _read(path: str) -> str:
 
 
 def parse_config(text: str) -> dict[str, float | bool]:
-    """key=value overrides for LeakageModel / PimConfig defaults."""
+    """key=value overrides for LeakageModel / PimConfig defaults, each key
+    given once, in the shared token grammar of the other input formats."""
     out: dict[str, float | bool] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"config line {line_no}: expected key=value, got '{line}'")
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {line_no}: unknown key '{key}'")
-        if key in _BOOL_KEYS:
-            if value not in ("0", "1"):
-                raise ValueError(f"config line {line_no}: bad flag '{value}' (want 0 or 1)")
-            out[key] = value == "1"
-        else:
-            try:
-                number = float(value)
-            except ValueError:
-                raise ValueError(f"config line {line_no}: bad number '{value}'") from None
-            if not math.isfinite(number):
-                raise ValueError(f"config line {line_no}: {key} must be finite, got '{value}'")
-            out[key] = number
+    for line_no, tokens in _token_lines(text):
+        for key, value in _attrs("config", line_no, tokens, (), _CONFIG_KEYS).items():
+            if key in out:
+                raise ParseError("config", line_no, f"duplicate attribute '{key}'")
+            out[key] = (_flag if key in _BOOL_KEYS else _float)("config", line_no, key, value)
     return out
 
 

@@ -7,8 +7,7 @@ issue names the net whose direct loads are the receivers: the net where
 
 * a driver swinging below the receiver's supply needs a level shifter;
 * a driver swinging at or above the receiver's supply is safe into plain
-  gate inputs (transmission-gate libraries flip this, see
-  ``assume_transmission_gates``);
+  gate inputs;
 * any net leaving a switchable island needs an isolation cell outside
   that island;
 * nets that stay inside one island are never flagged.
@@ -70,7 +69,7 @@ class CrossingIssue:
         )
 
 
-def analyze_crossings(design: Design, assume_transmission_gates: bool = False) -> list[CrossingIssue]:
+def analyze_crossings(design: Design) -> list[CrossingIssue]:
     """Report every island crossing that still needs a shifter or iso cell.
 
     Existing level-shifter/iso cells are walked through: a shifter re-drives
@@ -79,11 +78,10 @@ def analyze_crossings(design: Design, assume_transmission_gates: bool = False) -
     Port endpoints carry no island and are skipped.  The walk itself is
     cached on the design's topology; only the supplies are read per call.
     """
-    return [CrossingIssue(*issue) for issue in _crossings(design, assume_transmission_gates)]
+    return [CrossingIssue(*issue) for issue in _crossings(design)]
 
 
-def _crossings(design: Design,
-               assume_transmission_gates: bool = False) -> Iterator[tuple[str, str, str, IssueKind, float, float]]:
+def _crossings(design: Design) -> Iterator[tuple[str, str, str, IssueKind, float, float]]:
     """The fields of each ``analyze_crossings`` issue, in its order, as a
     plain tuple: for callers that only count the issues."""
     islands = design.islands_by_name()
@@ -93,8 +91,7 @@ def _crossings(design: Design,
         for receiver_name, swing_island, isolated in terminals:
             receiver_v = islands[receiver_name].vdd
             swing_v = islands[swing_island].vdd
-            needs_shift = swing_v < receiver_v or (assume_transmission_gates and swing_v > receiver_v)
-            if needs_shift and (receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER) not in seen:
+            if swing_v < receiver_v and (receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER) not in seen:
                 seen.add((receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER))
                 yield net, driver_name, receiver_name, IssueKind.NEEDS_LEVEL_SHIFTER, swing_v, receiver_v
             if switchable and not isolated and (receiver_name, IssueKind.NEEDS_ISOLATION) not in seen:

@@ -1,10 +1,11 @@
 """Domain model and parsers for the island/netlist file formats.
 
 All input formats are line based UTF-8: ``#`` starts a comment, tokens are
-whitespace separated, and attributes are ``key=value`` pairs.  One checked
+whitespace separated, and attributes are ``key=value`` pairs.  Every reader
+takes its lines from the one tokenizer, ``_token_lines``.  One checked
 reader, ``_statements``, turns each ``<directive> <name> key=value ...`` line
-into its name and attributes, given the directive's required and optional
-keys:
+into its name and attributes through ``_attrs``, given the directive's
+required and optional keys:
 
 * intent file     -- ``island <name> vdd=<float> switchable=<0|1> retention=<0|1>``
 * netlist file    -- ``cell``, ``net`` and ``port`` statements
@@ -13,21 +14,27 @@ keys:
   and ``calib <class> temp=<int> source=<model|silicon> factor=<f>``
 
 Each parser then converts the values and applies its format's range rules.
+The ``--config`` file (``pwr.cli.parse_config``) has no directive: each of
+its lines is a run of ``key=value`` tokens that go straight to ``_attrs`` and
+the checked converters, with no ``_statements``.
 
 The netlist is the one large input, so ``parse_design`` reads its ``cell``
 and ``net`` lines in one direct pass instead: it splits each line once,
 matches each key against the statement's keys, converts the values with the
 bare ``float``/``int`` and appends each record to its list, with no
-attribute dict per line.  Any such line it rejects is read again by
-``_statements`` and the checked converters, which raise the ``ParseError``
-they always gave, so the values and errors are those of the checked reader.
+attribute dict per line.  Any such line it rejects goes to
+``_netlist_fault``, which reads it again by ``_statements`` and the checked
+converters and returns the ``ParseError`` they always gave, so the values and
+errors are those of the checked reader.
 The few ``port`` lines go through the checked reader directly.
 ``parse_design`` checks no design invariant itself: it runs the same walk
 as ``validate_design`` and reports the first fault at its line.  It keeps
 no line numbers while reading: only a design with a fault scans the texts
 again to find the line of each statement.
 ``parse_activity`` reads its ``net`` lines the same direct way, and any
-line it rejects is read again by the checked reader for its error.
+line it rejects goes to ``_activity_fault`` for its error.  Both ``*_fault``
+functions return the checked reader's error and raise ``AssertionError``
+if the checked reader accepts the line.
 
 Every parsed record is immutable after construction, so designs and tables
 can be shared freely across threads.  ``parse_activity`` returns a plain
@@ -483,8 +490,10 @@ _Grammar = Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]]
 
 
 def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line_no, tokens)`` of every line that has a token: the text before
+    any ``#``, split at whitespace."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
         if tokens:
             yield line_no, tokens
 
@@ -591,11 +600,7 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
     try:
         # Every cell and net check below raises ValueError, and only on a line
         # the checked reader rejects too; ``_netlist_fault`` then names the fault.
-        for line_no, raw in enumerate(netlist_text.splitlines(), start=1):
-            # as _token_lines: the text before any "#", split at whitespace
-            tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
-            if not tokens:
-                continue
+        for line_no, tokens in _token_lines(netlist_text):
             directive, name, *attrs = tokens
             if "=" in name:
                 raise ValueError
@@ -830,13 +835,9 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
     toggles: dict[str, int] = {}
     durations: dict[str, float] = {}
     inf = math.inf
-    for line_no, raw in enumerate(activity_text.splitlines(), start=1):
-        # as _token_lines: the text before any "#", split at whitespace
-        tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
-        if not tokens:
-            continue
+    for line_no, tokens in _token_lines(activity_text):
         # Every check below raises ValueError or KeyError, and only on a line
-        # the checked reader rejects too; ``_activity_line`` then names the fault.
+        # the checked reader rejects too; ``_activity_fault`` then names the fault.
         try:
             directive, name, *attrs = tokens
             if directive != "net" or "=" in name:
@@ -855,27 +856,28 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
             if known is not None:
                 name = known[name].name
         except (ValueError, KeyError):
-            name, count, duration = _activity_line(line_no, tokens, known)
+            raise _activity_fault(line_no, tokens, known) from None
         toggles[name] = toggles.get(name, 0) + count
         durations[name] = durations.get(name, 0.0) + duration
 
     return {name: min(toggles[name] / (durations[name] * f_clk_mhz * 1e-3), SA_MAX) for name in toggles}
 
 
-def _activity_line(line_no: int, tokens: list[str], known: Mapping[str, Net] | None) -> tuple[str, int, float]:
-    """``(net name, toggles, duration_ns)`` of one activity line, read by
-    ``_statements`` and the checked converters, which raise the
-    ``ParseError`` of the line's first fault."""
-    _, _, name, attrs = next(_statements("activity", [(line_no, tokens)], _ACTIVITY_GRAMMAR))
-    if known is not None and name not in known:
-        raise ParseError("activity", line_no, f"unknown net '{name}'")
-    count = _int("activity", line_no, "toggles", attrs["toggles"])
-    if count < 0:
-        raise ParseError("activity", line_no, f"toggles must be >= 0, got '{attrs['toggles']}'")
-    duration = _float("activity", line_no, "duration_ns", attrs["duration_ns"])
-    if duration <= 0:
-        raise ParseError("activity", line_no, f"duration_ns must be positive, got '{attrs['duration_ns']}'")
-    return (name if known is None else known[name].name), count, duration
+def _activity_fault(line_no: int, tokens: list[str], known: Mapping[str, Net] | None) -> ParseError:
+    """The ``ParseError`` of an activity line that ``parse_activity``
+    rejected, as the checked reader finds it: ``_statements`` over the
+    tokens, then the net lookup and the value converters in a fixed order."""
+    try:
+        _, _, name, attrs = next(_statements("activity", [(line_no, tokens)], _ACTIVITY_GRAMMAR))
+        if known is not None and name not in known:
+            raise ParseError("activity", line_no, f"unknown net '{name}'")
+        if _int("activity", line_no, "toggles", attrs["toggles"]) < 0:
+            raise ParseError("activity", line_no, f"toggles must be >= 0, got '{attrs['toggles']}'")
+        if _float("activity", line_no, "duration_ns", attrs["duration_ns"]) <= 0:
+            raise ParseError("activity", line_no, f"duration_ns must be positive, got '{attrs['duration_ns']}'")
+    except ParseError as error:
+        return error
+    raise AssertionError(f"activity line {line_no}: the checked reader accepts what parse_activity rejected")
 
 
 def parse_characterization(char_text: str) -> CharTable:

@@ -106,9 +106,15 @@ def leakage_current_per_gate(v_slp_v: float, temp_c: float = 25.0, model: Leakag
         raise ValueError(f"bias and temperature must be finite, got {v_slp_v} V, {temp_c} C")
     if v_slp_v > 0:
         raise ValueError(f"sleep-gate bias must be <= 0 V, got {v_slp_v}")
-    temp_factor = 2.0 ** ((temp_c - 25.0) / model.temp_doubling_c)
+    try:
+        temp_factor = 2.0 ** ((temp_c - 25.0) / model.temp_doubling_c)
+    except OverflowError:
+        temp_factor = math.inf
     bias_factor = 10.0 ** (v_slp_v / (model.slope_mv_per_decade / 1000.0))
-    return model.i0_per_gate_25c * temp_factor * bias_factor
+    current = model.i0_per_gate_25c * temp_factor * bias_factor
+    if not math.isfinite(current):
+        raise ValueError(f"leakage current is not finite at {temp_c} C")
+    return current
 
 
 def leakage_bias_sweep(

@@ -7,10 +7,12 @@ from dataclasses import dataclass, replace
 
 from pwr.crossings import CrossingIssue, IssueKind
 from pwr.netlist import (
+    _ACTIVITY_GRAMMAR,
     _INTENT_GRAMMAR,
     _KIND_BY_VALUE,
     _NETLIST_GRAMMAR,
     FIX_KINDS,
+    SA_MAX,
     CellInstance,
     CellKind,
     Design,
@@ -147,7 +149,27 @@ def reference_parse_design(netlist_text: str, intent_text: str) -> Design:
     return design
 
 
-def reference_crossings(design: Design, assume_transmission_gates: bool = False) -> list[CrossingIssue]:
+def reference_parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None = None) -> dict[str, float]:
+    """``parse_activity`` as one loop over ``_statements`` and the checked
+    converters: the oracle for its direct reader."""
+    known = {n.name for n in design.nets} if design is not None else None
+    toggles: dict[str, int] = {}
+    durations: dict[str, float] = {}
+    for line_no, _, name, attrs in _statements("activity", _token_lines(activity_text), _ACTIVITY_GRAMMAR):
+        if known is not None and name not in known:
+            raise ParseError("activity", line_no, f"unknown net '{name}'")
+        count = _int("activity", line_no, "toggles", attrs["toggles"])
+        if count < 0:
+            raise ParseError("activity", line_no, f"toggles must be >= 0, got '{attrs['toggles']}'")
+        duration = _float("activity", line_no, "duration_ns", attrs["duration_ns"])
+        if duration <= 0:
+            raise ParseError("activity", line_no, f"duration_ns must be positive, got '{attrs['duration_ns']}'")
+        toggles[name] = toggles.get(name, 0) + count
+        durations[name] = durations.get(name, 0.0) + duration
+    return {name: min(toggles[name] / (durations[name] * f_clk_mhz * 1e-3), SA_MAX) for name in toggles}
+
+
+def reference_crossings(design: Design) -> list[CrossingIssue]:
     """The crossing analysis as fresh breadth-first walks per call, with no
     cached index: the oracle for ``analyze_crossings``.
 
@@ -201,8 +223,7 @@ def reference_crossings(design: Design, assume_transmission_gates: bool = False)
             if receiver.name == driver.island:
                 continue
             group = groups.setdefault((splice, driver.island), {})
-            needs_shift = eff_vdd < receiver.vdd or (assume_transmission_gates and eff_vdd > receiver.vdd)
-            if needs_shift:
+            if eff_vdd < receiver.vdd:
                 group.setdefault((receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER), CrossingIssue(
                     splice, driver.island, receiver.name, IssueKind.NEEDS_LEVEL_SHIFTER, eff_vdd, receiver.vdd,
                 ))

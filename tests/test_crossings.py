@@ -50,12 +50,6 @@ def test_gated_soc_issue_set(gated_soc):
     assert outbound == {"l2c", "l2m"}
 
 
-def test_transmission_gate_mode_flags_downhill(soc3):
-    issues = analyze_crossings(soc3, assume_transmission_gates=True)
-    downhill = [i for i in issues if i.net == "usb2cpu"]
-    assert len(downhill) == 1 and downhill[0].kind is IssueKind.NEEDS_LEVEL_SHIFTER
-
-
 def test_apply_fixes_three_island(soc3):
     issues = analyze_crossings(soc3)
     fixed = apply_power_fixes(soc3, issues)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_design, random_fixed_design, reference_parse_design
+from conftest import THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
+from helpers import random_design, random_fixed_design, reference_parse_activity, reference_parse_design
 from pwr.cli import parse_config
 from pwr.crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins
 from pwr.netlist import (
@@ -478,6 +479,44 @@ def test_activity_unknown_net_gives_its_exact_message_and_line(soc3):
     with pytest.raises(ParseError) as info:
         parse_activity(_ACTIVITY_HEAD + "net nope toggles=1.5 duration_ns=0\n", 100.0, design=soc3)
     assert (str(info.value), info.value.line_no) == ("activity line 3: unknown net 'nope'", 3)
+
+
+_SOC3 = parse_design(THREE_ISLAND_NETLIST, THREE_ISLAND_INTENT)
+_ACTIVITY_VALUES = ("1", "0", "-1", "1.5", "nan", "inf", "1e400", "", "+3", "1_0")
+
+
+@st.composite
+def _mutated_activity_line(draw) -> str:
+    """A ``net`` line with each value drawn from ``_ACTIVITY_VALUES``, maybe
+    a key dropped, repeated or unknown, an ``=`` in the name, a trailing
+    comment or a carriage return."""
+    value = st.sampled_from(_ACTIVITY_VALUES)
+    attrs = [f"toggles={draw(value)}", f"duration_ns={draw(value)}"]
+    mutation = draw(st.sampled_from(("none", "drop", "repeat", "unknown")))
+    if mutation == "drop":
+        del attrs[draw(st.integers(0, 1))]
+    elif mutation == "repeat":
+        attrs.append(f"{draw(st.sampled_from(('toggles', 'duration_ns')))}={draw(value)}")
+    elif mutation == "unknown":
+        attrs.append("glitches=3")
+    name = draw(st.sampled_from([n.name for n in _SOC3.nets] + ["nope", "cpu=usb"]))
+    line = " ".join(["net", name, *draw(st.permutations(attrs))])
+    return line + draw(st.sampled_from(("", "  # toggles=x", "\r", " \r")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_mutated_activity_line(), st.sampled_from(("", "# note"))), max_size=6), st.booleans())
+def test_activity_reader_matches_the_checked_reader(lines, with_design):
+    text = "\n".join(lines) + "\n"
+    design = _SOC3 if with_design else None
+    try:
+        expected = reference_parse_activity(text, 100.0, design)
+    except ParseError as error:
+        with pytest.raises(ParseError) as info:
+            parse_activity(text, 100.0, design)
+        assert (str(info.value), info.value.line_no) == (str(error), error.line_no)
+    else:
+        assert parse_activity(text, 100.0, design) == expected
 
 
 @settings(max_examples=100, deadline=None)

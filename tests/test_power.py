@@ -98,6 +98,15 @@ def test_leakage_model_rejects_non_finite_fields(field, value):
         LeakageModel(**{field: value})
 
 
+@pytest.mark.parametrize("temp_c", [20000.0, 1e300])
+def test_leakage_names_a_temperature_that_overflows_the_model(soc3, temp_c):
+    with pytest.raises(ValueError) as info:
+        leakage_current_per_gate(0.0, temp_c)
+    assert str(info.value) == f"leakage current is not finite at {temp_c} C"
+    with pytest.raises(ValueError, match="leakage current is not finite"):
+        static_power(soc3, (), temp_c=temp_c)
+
+
 @pytest.mark.parametrize("value", _NON_FINITE)
 def test_leakage_rejects_non_finite_arguments(soc3, value):
     with pytest.raises(ValueError, match="bias and temperature must be finite"):

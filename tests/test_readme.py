@@ -1,4 +1,5 @@
-"""The README's "Library use" code runs as written against the public API."""
+"""The README's "Library use" code runs as written against the public API,
+and its ``--config`` example parses as written."""
 
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 import pwr
 from conftest import GATED_INTENT, GATED_NETLIST
+from pwr.cli import parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,3 +49,11 @@ def test_readme_python_blocks_run(capsys):
     assert scope["profile"]["l2c"] == pytest.approx(0.2)
     assert {row.island for row in scope["savings"].rows} == {"cpu", "mem", "logic"}
     assert scope["silicon"] == 80.0
+
+
+def test_readme_config_example_parses():
+    text = README.read_text(encoding="utf-8")
+    example = re.search(r"# config file for --config .*?\n(.*?)```", text, re.S).group(1)
+    assert parse_config(example) == {
+        "i0_per_gate_25c": 1.605e-9, "bias_v": -0.3, "t_iso_on": 20.0, "explicit_bit": False,
+    }

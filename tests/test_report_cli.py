@@ -17,7 +17,7 @@ from conftest import (
     THREE_ISLAND_NETLIST,
 )
 from pwr.cli import parse_config, run_cli
-from pwr.netlist import CellInstance, CellKind, Design, Island, validate_design
+from pwr.netlist import CellInstance, CellKind, Design, Island, ParseError, validate_design
 from pwr.power import DynamicPowerParams, LeakageModel, dynamic_power, leakage_bias_sweep
 from pwr.report import (
     Report,
@@ -144,12 +144,14 @@ def test_unknown_format_rejected():
 
 
 def test_parse_config_values():
-    cfg = parse_config("bias_v = -0.25\nt_save=10\nexplicit_bit=1\n# comment\n")
+    cfg = parse_config("bias_v=-0.25\nt_save=10\nexplicit_bit=1\n# comment\n")
     assert cfg == {"bias_v": -0.25, "t_save": 10.0, "explicit_bit": True}
+    # several attributes may share a line, as in every other format
+    assert parse_config("t_save=10 bias_v=-0.2  # two\n") == {"t_save": 10.0, "bias_v": -0.2}
 
 
 def test_parse_config_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown key"):
+    with pytest.raises(ParseError, match="config line 1: unknown attribute 'voltage'"):
         parse_config("voltage=1\n")
 
 
@@ -337,6 +339,24 @@ def test_non_finite_cli_numbers_exit_1(workspace, capsys, command, option, value
     assert f"argument {option}: must be finite" in captured.err
 
 
+def test_power_temperature_that_overflows_the_leakage_model_exits_1(workspace, capsys):
+    argv = [
+        "power", "--netlist", workspace["netlist"], "--intent", workspace["intent"],
+        "--activity", workspace["activity"], "--fclk-mhz", "150", "--temp-c", "20000",
+    ]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "pwr: error: leakage current is not finite at 20000.0 C\n")
+
+
+def test_config_errors_exit_1_with_their_line(workspace, capsys):
+    config = workspace["dir"] / "pim.cfg"
+    config.write_text("t_save=10\n\nt_save=20\n")
+    assert run_cli(["sleep-sim", "--script", workspace["script"], "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "pwr: error: config line 3: duplicate attribute 't_save'\n")
+
+
 def test_parse_error_exits_1(workspace, capsys):
     bad = workspace["dir"] / "bad.net"
     bad.write_text("cell a kind=std island=nowhere\n")
@@ -482,14 +502,17 @@ def test_optimize_rejections_exit_1_with_their_exact_message(workspace, capsys, 
     "text, message",
     [
         ("t_save=10\nbias_v\n", "config line 2: expected key=value, got 'bias_v'"),
-        ("bias_v =\n", "config line 1: expected key=value, got 'bias_v ='"),
-        ("# flags\nexplicit_bit=2\n", "config line 2: bad flag '2' (want 0 or 1)"),
-        ("bias_v=low\n", "config line 1: bad number 'low'"),
+        ("bias_v =\n", "config line 1: expected key=value, got 'bias_v'"),
+        ("# flags\nexplicit_bit=2\n", "config line 2: bad flag for explicit_bit: '2' (want 0 or 1)"),
+        ("bias_v=low\n", "config line 1: bad bias_v 'low' (want a number)"),
+        ("bias_v = -0.25\n", "config line 1: expected key=value, got 'bias_v'"),
+        ("t_save=10\nbias_v=-0.2\nt_save=20\n", "config line 3: duplicate attribute 't_save'"),
+        ("t_save=10 t_save=20\n", "config line 1: duplicate attribute 't_save'"),
     ],
-    ids=["no-equals", "no-value", "bad-flag", "bad-number"],
+    ids=["no-equals", "no-value", "bad-flag", "bad-number", "spaced-equals", "repeated-key", "repeated-on-a-line"],
 )
 def test_parse_config_rejections_give_their_exact_message(text, message):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ParseError) as info:
         parse_config(text)
     assert str(info.value) == message
 
