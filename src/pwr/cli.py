@@ -13,8 +13,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins, verify_power_intent
-from .netlist import ParseError, _attrs, _flag, _float, _token_lines
-from .netlist import parse_activity, parse_characterization, parse_design, serialize_design
+from .netlist import ParseError, _attrs, _flag, _float, _netlist_lines, _token_lines
+from .netlist import parse_activity, parse_characterization, parse_design
 from .pimsim import PimConfig, parse_script, pim_run_script, trace_to_vcd
 from .power import DynamicPowerParams, LeakageModel, power_report
 from .report import (
@@ -76,11 +76,15 @@ def parse_config(text: str) -> dict[str, float | bool]:
     return out
 
 
-def _configured(cls: type, path: str | None):
-    """``cls`` built from the keys of the ``--config`` file that are its fields."""
+def _configured(path: str | None) -> tuple[LeakageModel, PimConfig]:
+    """The ``LeakageModel`` and the ``PimConfig`` of the ``--config`` file,
+    both built and so both checked whichever command reads the file."""
     config = parse_config(_read(path)) if path else {}
-    names = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in config.items() if k in names})
+    leakage = {f.name for f in fields(LeakageModel)}
+    return (
+        LeakageModel(**{k: v for k, v in config.items() if k in leakage}),
+        PimConfig(**{k: v for k, v in config.items() if k not in leakage}),
+    )
 
 
 def _load_design(args: argparse.Namespace):
@@ -106,8 +110,8 @@ def _cmd_fix(args: argparse.Namespace) -> int:
     fixed = apply_power_fixes(pinned, issues)
     # the pinned design and its cached index are not needed past this point
     del pinned, issues
-    netlist_text, _ = serialize_design(fixed)
-    Path(args.out).write_text(netlist_text, encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as out:
+        out.writelines(_netlist_lines(fixed))
     print(f"wrote {args.out}: {counts}")
     return 0
 
@@ -116,7 +120,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     design = _load_design(args)
     activity = parse_activity(_read(args.activity), args.fclk_mhz, design=design)
     params = DynamicPowerParams(f_clk_mhz=args.fclk_mhz, k=args.k)
-    model = _configured(LeakageModel, args.config)
+    model, _ = _configured(args.config)
     result = power_report(
         design, activity, params,
         sleeping=args.sleep, temp_c=args.temp_c, model=model,
@@ -140,7 +144,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sleep_sim(args: argparse.Namespace) -> int:
-    config = _configured(PimConfig, args.config)
+    _, config = _configured(args.config)
     trace = pim_run_script(config, parse_script(_read(args.script)))
     sys.stdout.write(trace.to_text())
     if args.vcd:

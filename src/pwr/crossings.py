@@ -15,10 +15,9 @@ issue names the net whose direct loads are the receivers: the net where
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator
+from typing import Container, Iterator
 
 from .netlist import (
     SLEEPABLE_KINDS,
@@ -99,14 +98,24 @@ def _crossings(design: Design) -> Iterator[tuple[str, str, str, IssueKind, float
                 yield net, driver_name, receiver_name, IssueKind.NEEDS_ISOLATION, swing_v, receiver_v
 
 
-def _unique(name: str, taken: set[str]) -> str:
-    """``name``, or the first free ``name_<n>`` for n = 1, 2, ...; marked taken."""
+def _unique(name: str, added: set[str], taken: Container[str], also_taken: Container[str] = ()) -> str:
+    """``name``, or the first ``name_<n>`` for n = 1, 2, ... that is in none
+    of ``added``, ``taken`` and ``also_taken``; put in ``added``."""
     unique, n = name, 0
-    while unique in taken:
+    while unique in added or unique in taken or unique in also_taken:
         n += 1
         unique = f"{name}_{n}"
-    taken.add(unique)
+    added.add(unique)
     return unique
+
+
+# The fixes of one chain, in splice order: the bit that marks the fix in a
+# chain's set, its issue kind, its cell name prefix and its cell kind.
+_FIXES = (
+    (1, IssueKind.NEEDS_LEVEL_SHIFTER, "ls", CellKind.LEVEL_SHIFTER),
+    (2, IssueKind.NEEDS_ISOLATION, "iso", CellKind.ISO),
+)
+_FIX_BIT = {kind: bit for bit, kind, _, _ in _FIXES}
 
 
 def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
@@ -123,26 +132,32 @@ def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
     if not issues:
         return design
     cells = design.cells_by_name()
+    ports = design.ports_by_name()
     nets_by_name = design.nets_by_name()
 
-    # one fix chain per (net, receiving island), level shifter ahead of iso
-    groups: dict[tuple[str, str], list[IssueKind]] = {}
+    # one fix chain per (net, receiving island): the bits of its fixes
+    groups: dict[tuple[str, str], int] = {}
+    # per net, the bits of the fixes any of its chains needs, and shifted up
+    # by two, those that more than one of its chains needs
+    net_fixes: dict[str, int] = {}
     for issue in issues:
         if issue.net not in nets_by_name:
             raise ValueError(f"issue references unknown net '{issue.net}'")
-        kinds = groups.setdefault((issue.net, issue.receiver_island), [])
-        if issue.kind not in kinds:
-            kinds.append(issue.kind)
-    kind_counts = Counter((net, kind) for (net, _), kinds in groups.items() for kind in kinds)
+        key = (issue.net, issue.receiver_island)
+        fixes, bit = groups.get(key, 0), _FIX_BIT[issue.kind]
+        if not fixes & bit:
+            groups[key] = fixes | bit
+            seen = net_fixes.get(issue.net, 0)
+            net_fixes[issue.net] = seen | (bit << 2 if seen & bit else bit)
 
     new_cells: list[CellInstance] = []
     added_nets: list[Net] = []
     patched: dict[str, Net] = {}
-    # cells and ports share the endpoint namespace
-    taken_cell_names = set(cells) | set(design.ports_by_name())
-    taken_net_names = set(nets_by_name)
+    # names this call adds; cells and ports share the endpoint namespace
+    added_cell_names: set[str] = set()
+    added_net_names: set[str] = set()
 
-    for (net_name, receiver), kinds in groups.items():
+    for (net_name, receiver), fixes in groups.items():
         net = patched.get(net_name, nets_by_name[net_name])
         receiver_loads: list[tuple[str, str]] = []
         other_loads: list[tuple[str, str]] = []
@@ -153,22 +168,21 @@ def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
             raise ValueError(f"net '{net_name}' has no direct loads in island '{receiver}'")
 
         chain: list[CellInstance] = []
-        for kind in (IssueKind.NEEDS_LEVEL_SHIFTER, IssueKind.NEEDS_ISOLATION):
-            if kind not in kinds:
+        for bit, _, prefix, cell_kind in _FIXES:
+            if not fixes & bit:
                 continue
-            prefix = "ls" if kind is IssueKind.NEEDS_LEVEL_SHIFTER else "iso"
-            cell_kind = CellKind.LEVEL_SHIFTER if kind is IssueKind.NEEDS_LEVEL_SHIFTER else CellKind.ISO
             name = f"{prefix}_{net_name}"
-            if kind_counts[(net_name, kind)] > 1:
+            if net_fixes[net_name] & bit << 2:
                 name += f"_{receiver}"
-            chain.append(_make_cell(_unique(name, taken_cell_names), cell_kind, receiver, 0.0, 1, False))
+            name = _unique(name, added_cell_names, cells, ports)
+            chain.append(_make_cell(name, cell_kind, receiver, 0.0, 1, False))
         new_cells.extend(chain)
 
         other_loads.append((chain[0].name, "a"))
         patched[net_name] = _make_net(net_name, net.raw_driver, tuple(other_loads))
         for i, fix_cell in enumerate(chain):
             loads = ((chain[i + 1].name, "a"),) if i + 1 < len(chain) else tuple(receiver_loads)
-            out_name = _unique(f"{fix_cell.name}_out", taken_net_names)
+            out_name = _unique(f"{fix_cell.name}_out", added_net_names, nets_by_name)
             added_nets.append(_make_net(out_name, (fix_cell.name, "z"), loads))
 
     nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(added_nets)
@@ -205,14 +219,16 @@ def insert_sleep_pins(design: Design) -> Design:
             nets[at] = _make_net(net.name, net.raw_driver, net.raw_loads + tuple(pending.pop(net.name)[1]))
     ports = list(design.ports)
     pim = design.pim_cell()
-    taken = set(design.cells_by_name()) | set(design.ports_by_name())
+    ports_by_name = design.ports_by_name()
+    added: set[str] = set()
     for net_name, (island, loads) in pending.items():
         if pim is not None:
             driver = (pim.name, net_name)
         else:
-            port = design.ports_by_name().get(net_name)
+            port = ports_by_name.get(net_name)
             if port is None or port.direction != "in":
-                port = Port(_unique(net_name, taken), "in", design.islands_by_name()[island].vdd)
+                name = _unique(net_name, added, design.cells_by_name(), ports_by_name)
+                port = Port(name, "in", design.islands_by_name()[island].vdd)
                 ports.append(port)
             driver = (port.name, "p")
         nets.append(_make_net(net_name, driver, tuple(loads)))

@@ -2,7 +2,9 @@
 
 All input formats are line based UTF-8: ``#`` starts a comment, tokens are
 whitespace separated, and attributes are ``key=value`` pairs.  Every reader
-takes its lines from the one tokenizer, ``_token_lines``.  One checked
+takes its lines from the one tokenizer, ``_token_lines``, which splits the
+text exactly as ``str.splitlines`` does but one block at a time (``_lines``),
+so a reader never holds a list of all the lines of its text.  One checked
 reader, ``_statements``, turns each ``<directive> <name> key=value ...`` line
 into its name and attributes through ``_attrs``, given the directive's
 required and optional keys:
@@ -489,10 +491,28 @@ class CharTable:
 _Grammar = Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]]
 
 
+# Characters per block of ``_lines``; a block runs on to the next ``\n``.
+_BLOCK = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    r"""The lines of ``text``, exactly those of ``text.splitlines()``, split
+    one block at a time so that no list of every line is held.
+
+    Each block ends just after a ``\n``, and no line break ``str.splitlines``
+    knows runs past one (``\r\n`` ends at its ``\n``), so no break is cut.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _BLOCK) + 1 or size
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(line_no, tokens)`` of every line that has a token: the text before
     any ``#``, split at whitespace."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
         if tokens:
             yield line_no, tokens
@@ -796,18 +816,24 @@ def serialize_design(design: Design) -> tuple[str, str]:
         f"island {i.name} vdd={float(i.vdd)!r} switchable={int(i.switchable)} retention={int(i.retention)}"
         for i in design.islands
     ]
-    lines = [f"port {p.name} dir={p.direction} vdd={float(p.vdd)!r}" for p in design.ports]
-    lines += [
-        f"cell {c.name} kind={_KIND_TEXT[c.kind]} island={c.island} cap_ff={float(c.cap_ff)!r}"
-        f" gates={c.gate_count}{' sleep=1' if c.has_sleep_pin else ''}"
-        for c in design.cells
-    ]
-    lines += [
-        f"net {n.name} driver={'.'.join(n.raw_driver)} loads={','.join(map('.'.join, n.raw_loads))}"
-        if n.raw_loads else f"net {n.name} driver={'.'.join(n.raw_driver)}"
-        for n in design.nets
-    ]
-    return "\n".join(lines) + "\n", "\n".join(intent) + "\n"
+    return "".join(_netlist_lines(design)), "\n".join(intent) + "\n"
+
+
+def _netlist_lines(design: Design) -> Iterator[str]:
+    r"""Each ``port``, ``cell`` and ``net`` line of ``serialize_design``'s
+    netlist text with its ``\n``, one at a time, for writing the text out
+    without holding it."""
+    if not (design.ports or design.cells or design.nets):
+        yield "\n"  # a netlist with no statement is one empty line
+    for p in design.ports:
+        yield f"port {p.name} dir={p.direction} vdd={float(p.vdd)!r}\n"
+    for c in design.cells:
+        yield (f"cell {c.name} kind={_KIND_TEXT[c.kind]} island={c.island} cap_ff={float(c.cap_ff)!r}"
+               f" gates={c.gate_count}{' sleep=1' if c.has_sleep_pin else ''}\n")
+    for n in design.nets:
+        driver = ".".join(n.raw_driver)
+        yield (f"net {n.name} driver={driver} loads={','.join(map('.'.join, n.raw_loads))}\n"
+               if n.raw_loads else f"net {n.name} driver={driver}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ _LEAVE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScriptCommand:
     time_ns: float
     op: str  # "write_sleep" | "read_status"

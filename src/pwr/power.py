@@ -294,11 +294,14 @@ def static_power(
     gates_by_island = design.topology.gates_by_island
     rows = []
     for island in design.islands:
-        gates = gates_by_island.get(island.name, 0)
-        if island.name in asleep:
-            rows.append(IslandPower(island.name, static_sleep_w=gates * i_asleep * island.vdd))
+        asleep_now = island.name in asleep
+        watts = gates_by_island.get(island.name, 0) * (i_asleep if asleep_now else i_awake) * island.vdd
+        if not math.isfinite(watts):
+            raise ValueError(f"island '{island.name}': static power is not finite at {temp_c} C")
+        if asleep_now:
+            rows.append(IslandPower(island.name, static_sleep_w=watts))
         else:
-            rows.append(IslandPower(island.name, static_active_w=gates * i_awake * island.vdd))
+            rows.append(IslandPower(island.name, static_active_w=watts))
     manager_w = model.manager_overhead_w if asleep and design.pim_cell() is not None else 0.0
     assumptions = (
         ("temp_c", temp_c),

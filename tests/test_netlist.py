@@ -2,7 +2,9 @@ import gc
 import math
 import pickle
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
 from helpers import random_design, random_fixed_design, reference_parse_activity, reference_parse_design
+from pwr import netlist
 from pwr.cli import parse_config
 from pwr.crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins
 from pwr.netlist import (
@@ -23,8 +26,10 @@ from pwr.netlist import (
     Port,
     parse_activity,
     parse_characterization,
+    _lines,
     _make_cell,
     _make_net,
+    _token_lines,
     parse_design,
     serialize_design,
     validate_design,
@@ -650,3 +655,38 @@ def test_reader_rejections_give_their_exact_message(parse, text, message):
     with pytest.raises((ParseError, ValueError)) as info:
         parse(text)
     assert str(info.value) == message
+
+
+# -- the block line reader -------------------------------------------------------------
+
+# every line break str.splitlines knows, plus comments, blanks and tokens
+_LINE_PIECES = (
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "#", " ", "\t", "cell", "a=1", "x",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=40).map("".join), st.integers(1, 5))
+def test_block_reader_splits_exactly_like_splitlines(text, block):
+    reference = [
+        (line_no, raw.partition("#")[0].split())
+        for line_no, raw in enumerate(text.splitlines(), start=1)
+        if raw.partition("#")[0].split()
+    ]
+    with mock.patch.object(netlist, "_BLOCK", block):
+        assert list(_lines(text)) == text.splitlines()
+        assert list(_token_lines(text)) == reference
+
+
+def test_block_reader_holds_a_block_not_the_text():
+    text = "".join(f"cell c{i} kind=std island=isl{i % 8} cap_ff=12.50 gates=17\n" for i in range(40_000))
+    assert len(text) > 2_000_000
+    tracemalloc.start()
+    try:
+        for _ in _token_lines(text):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024

@@ -107,6 +107,19 @@ def test_leakage_names_a_temperature_that_overflows_the_model(soc3, temp_c):
         static_power(soc3, (), temp_c=temp_c)
 
 
+@pytest.mark.parametrize("sleeping", [(), ("a",)], ids=["awake", "asleep"])
+def test_static_power_names_an_island_whose_watts_overflow(sleeping):
+    design = parse_design(
+        "cell c0 kind=std island=a gates=1000000000000\nnet n0 driver=c0.z loads=c0.a\n",
+        "island a vdd=1.2 switchable=1\n",
+    )
+    # the per-gate current is finite; only its product with the gates is not
+    assert math.isfinite(leakage_current_per_gate(0.0, 10200.0))
+    with pytest.raises(ValueError) as info:
+        static_power(design, sleeping, temp_c=10200.0)
+    assert str(info.value) == "island 'a': static power is not finite at 10200.0 C"
+
+
 @pytest.mark.parametrize("value", _NON_FINITE)
 def test_leakage_rejects_non_finite_arguments(soc3, value):
     with pytest.raises(ValueError, match="bias and temperature must be finite"):

@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import random
 import re
 
 import pytest
@@ -16,8 +17,19 @@ from conftest import (
     THREE_ISLAND_INTENT,
     THREE_ISLAND_NETLIST,
 )
+from helpers import random_fixed_design
 from pwr.cli import parse_config, run_cli
-from pwr.netlist import CellInstance, CellKind, Design, Island, ParseError, validate_design
+from pwr.crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins
+from pwr.netlist import (
+    CellInstance,
+    CellKind,
+    Design,
+    Island,
+    ParseError,
+    parse_design,
+    serialize_design,
+    validate_design,
+)
 from pwr.power import DynamicPowerParams, LeakageModel, dynamic_power, leakage_bias_sweep
 from pwr.report import (
     Report,
@@ -349,6 +361,39 @@ def test_power_temperature_that_overflows_the_leakage_model_exits_1(workspace, c
     assert (captured.out, captured.err) == ("", "pwr: error: leakage current is not finite at 20000.0 C\n")
 
 
+def test_power_whose_static_watts_overflow_exits_1_naming_the_island(tmp_path, capsys):
+    netlist, intent, activity = tmp_path / "big.net", tmp_path / "big.intent", tmp_path / "big.act"
+    netlist.write_text("cell c0 kind=std island=a gates=1000000000\nnet n0 driver=c0.z loads=c0.a\n")
+    intent.write_text("island a vdd=1.2\n")
+    activity.write_text("net n0 toggles=1 duration_ns=10\n")
+    argv = [
+        "power", "--netlist", str(netlist), "--intent", str(intent), "--activity", str(activity),
+        "--fclk-mhz", "100", "--temp-c", "10200", "--format", "json",
+    ]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "pwr: error: island 'a': static power is not finite at 10200.0 C\n")
+
+
+@pytest.mark.parametrize(
+    "config_text, message",
+    [("bias_v=5\n", "bias_v must be <= 0"), ("t_save=-1\n", "t_save must be finite and >= 0, got -1.0")],
+    ids=["leakage-key", "pim-key"],
+)
+@pytest.mark.parametrize("command", ["power", "sleep-sim"])
+def test_a_bad_config_value_fails_every_command_that_reads_the_file(workspace, capsys, config_text, message, command):
+    config = workspace["dir"] / "bad.cfg"
+    config.write_text(config_text)
+    inputs = {
+        "power": ["--netlist", workspace["netlist"], "--intent", workspace["intent"],
+                  "--activity", workspace["activity"], "--fclk-mhz", "150"],
+        "sleep-sim": ["--script", workspace["script"]],
+    }
+    assert run_cli([command, *inputs[command], "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"pwr: error: {message}\n")
+
+
 def test_config_errors_exit_1_with_their_line(workspace, capsys):
     config = workspace["dir"] / "pim.cfg"
     config.write_text("t_save=10\n\nt_save=20\n")
@@ -407,6 +452,22 @@ def test_fix_counts_the_pin_of_a_flagged_cell_it_hooks(tmp_path, capsys):
     assert run_cli(["fix", "--netlist", str(netlist), "--intent", str(intent), "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote {out}: 0 crossing fixes, 1 sleep pins added, 0 sleep-net fixes\n"
     assert "net slpb_logic driver=pim0.slpb_logic loads=block.slpb" in out.read_text()
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=["gated-soc", "random-1", "random-2", "random-3"])
+def test_fix_writes_the_bytes_of_serialize_design(tmp_path, capsys, seed):
+    """``pwr fix`` streams its output; a ``random_fixed_design`` is fixed again."""
+    if seed is None:
+        netlist_text, intent_text = GATED_NETLIST, GATED_INTENT
+    else:
+        netlist_text, intent_text = serialize_design(random_fixed_design(random.Random(seed)))
+    netlist, intent, out = tmp_path / "in.net", tmp_path / "in.intent", tmp_path / "fixed.net"
+    netlist.write_text(netlist_text)
+    intent.write_text(intent_text)
+    assert run_cli(["fix", "--netlist", str(netlist), "--intent", str(intent), "--out", str(out)]) == 0
+    pinned = insert_sleep_pins(parse_design(netlist_text, intent_text))
+    fixed = apply_power_fixes(pinned, analyze_crossings(pinned))
+    assert out.read_bytes() == serialize_design(fixed)[0].encode("utf-8")
 
 
 def test_subcommands_are_idempotent(workspace, capsys):
