@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
-from .crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins, verify_power_intent
+from .crossings import _crossings, apply_power_fixes, insert_sleep_pins, verify_power_intent
 from .netlist import ParseError, _attrs, _flag, _float, _netlist_lines, _token_lines
 from .netlist import parse_activity, parse_characterization, parse_design
 from .pimsim import PimConfig, parse_script, pim_run_script, trace_to_vcd
@@ -102,14 +103,14 @@ def _cmd_fix(args: argparse.Namespace) -> int:
     pinned = insert_sleep_pins(design)
     pins = sum(pin == "slpb" for net in pinned.nets for _, pin in net.raw_loads)
     pins -= sum(pin == "slpb" for net in design.nets for _, pin in net.raw_loads)
-    pin_nets = {n.name for n in pinned.nets} - set(design.nets_by_name())
+    # insert_sleep_pins appends its new nets after the input's
+    pin_nets = {n.name for n in pinned.nets[len(design.nets):]}
     del design
-    issues = analyze_crossings(pinned)
-    sleep_fixes = sum(issue.net in pin_nets for issue in issues)
-    counts = f"{len(issues) - sleep_fixes} crossing fixes, {pins} sleep pins added, {sleep_fixes} sleep-net fixes"
-    fixed = apply_power_fixes(pinned, issues)
+    fixes = Counter(net in pin_nets for net, *_ in _crossings(pinned))
+    counts = f"{fixes[False]} crossing fixes, {pins} sleep pins added, {fixes[True]} sleep-net fixes"
+    fixed = apply_power_fixes(pinned)
     # the pinned design and its cached index are not needed past this point
-    del pinned, issues
+    del pinned
     with open(args.out, "w", encoding="utf-8") as out:
         out.writelines(_netlist_lines(fixed))
     print(f"wrote {args.out}: {counts}")
@@ -132,7 +133,11 @@ def _cmd_power(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     design = _load_design(args)
     table = parse_characterization(_read(args.char))
-    pinned = dict(args.pin)
+    pinned: dict[str, float] = {}
+    for name, vdd in args.pin:
+        if name in pinned:
+            raise ValueError(f"argument --pin: island '{name}' pinned twice")
+        pinned[name] = vdd
     reqs = {i.name: args.freq_mhz for i in design.islands if i.name not in pinned}
     plan = assign_voltages(design, table, reqs, pinned, baseline_v=args.baseline_v)
     # without measured toggle data, weight islands by capacitance at full activity

@@ -76,13 +76,14 @@ def analyze_crossings(design: Design) -> list[CrossingIssue]:
     isolation requirement only if it sits outside the driving island.
     Port endpoints carry no island and are skipped.  The walk itself is
     cached on the design's topology; only the supplies are read per call.
+    ``apply_power_fixes`` and the ``pwr fix`` tally read ``_crossings``.
     """
     return [CrossingIssue(*issue) for issue in _crossings(design)]
 
 
 def _crossings(design: Design) -> Iterator[tuple[str, str, str, IssueKind, float, float]]:
-    """The fields of each ``analyze_crossings`` issue, in its order, as a
-    plain tuple: for callers that only count the issues."""
+    """The fields of each ``analyze_crossings`` issue, in its order, as a plain
+    tuple: what ``apply_power_fixes`` and the ``pwr fix`` tally read."""
     islands = design.islands_by_name()
     for net, driver_name, terminals in design.topology.crossing_walks:
         switchable = islands[driver_name].switchable
@@ -98,14 +99,13 @@ def _crossings(design: Design) -> Iterator[tuple[str, str, str, IssueKind, float
                 yield net, driver_name, receiver_name, IssueKind.NEEDS_ISOLATION, swing_v, receiver_v
 
 
-def _unique(name: str, added: set[str], taken: Container[str], also_taken: Container[str] = ()) -> str:
+def _unique(name: str, added: Container[str], taken: Container[str], also_taken: Container[str] = ()) -> str:
     """``name``, or the first ``name_<n>`` for n = 1, 2, ... that is in none
-    of ``added``, ``taken`` and ``also_taken``; put in ``added``."""
+    of ``added``, ``taken`` and ``also_taken``."""
     unique, n = name, 0
     while unique in added or unique in taken or unique in also_taken:
         n += 1
         unique = f"{name}_{n}"
-    added.add(unique)
     return unique
 
 
@@ -118,75 +118,68 @@ _FIXES = (
 _FIX_BIT = {kind: bit for bit, kind, _, _ in _FIXES}
 
 
-def apply_power_fixes(design: Design, issues: list[CrossingIssue]) -> Design:
-    """Splice level shifters / isolation cells at the receiver side of each issue.
+def apply_power_fixes(design: Design) -> Design:
+    """Splice level shifters / isolation cells at the receiver side of each
+    crossing ``analyze_crossings`` reports; a clean design comes back as is.
 
     Inserted cells live in the receiving island and get deterministic names
     (``ls_<net>`` / ``iso_<net>``, suffixed with the island when one net needs
     the same fix toward several islands, then with ``_<n>`` if the name is
     taken).  Adds one cell per distinct (net, receiving island, kind) and
     leaves everything else untouched; re-analysis of the result is clean.
-
-    Issues must come from ``analyze_crossings`` on this same design.
     """
-    if not issues:
-        return design
-    cells = design.cells_by_name()
-    ports = design.ports_by_name()
-    nets_by_name = design.nets_by_name()
-
     # one fix chain per (net, receiving island): the bits of its fixes
     groups: dict[tuple[str, str], int] = {}
     # per net, the bits of the fixes any of its chains needs, and shifted up
     # by two, those that more than one of its chains needs
     net_fixes: dict[str, int] = {}
-    for issue in issues:
-        if issue.net not in nets_by_name:
-            raise ValueError(f"issue references unknown net '{issue.net}'")
-        key = (issue.net, issue.receiver_island)
-        fixes, bit = groups.get(key, 0), _FIX_BIT[issue.kind]
+    for net_name, _, receiver, kind, _, _ in _crossings(design):
+        key = (net_name, receiver)
+        fixes, bit = groups.get(key, 0), _FIX_BIT[kind]
         if not fixes & bit:
             groups[key] = fixes | bit
-            seen = net_fixes.get(issue.net, 0)
-            net_fixes[issue.net] = seen | (bit << 2 if seen & bit else bit)
+            seen = net_fixes.get(net_name, 0)
+            net_fixes[net_name] = seen | (bit << 2 if seen & bit else bit)
+    if not groups:
+        return design
+    cells = design.cells_by_name()
+    ports = design.ports_by_name()
+    nets_by_name = design.nets_by_name()
 
-    new_cells: list[CellInstance] = []
-    added_nets: list[Net] = []
+    # the records this call adds, by name; cells and ports share a namespace
+    new_cells: dict[str, CellInstance] = {}
+    new_nets: dict[str, Net] = {}
     patched: dict[str, Net] = {}
-    # names this call adds; cells and ports share the endpoint namespace
-    added_cell_names: set[str] = set()
-    added_net_names: set[str] = set()
 
     for (net_name, receiver), fixes in groups.items():
         net = patched.get(net_name, nets_by_name[net_name])
+        # every crossing's receiver is a direct cell load of its net
         receiver_loads: list[tuple[str, str]] = []
         other_loads: list[tuple[str, str]] = []
         for ep in net.raw_loads:
             cell = cells.get(ep[0])
             (receiver_loads if cell is not None and cell.island == receiver else other_loads).append(ep)
-        if not receiver_loads:  # stale issues: analyze_crossings never gives these
-            raise ValueError(f"net '{net_name}' has no direct loads in island '{receiver}'")
 
-        chain: list[CellInstance] = []
+        chain: list[str] = []
         for bit, _, prefix, cell_kind in _FIXES:
             if not fixes & bit:
                 continue
             name = f"{prefix}_{net_name}"
             if net_fixes[net_name] & bit << 2:
                 name += f"_{receiver}"
-            name = _unique(name, added_cell_names, cells, ports)
-            chain.append(_make_cell(name, cell_kind, receiver, 0.0, 1, False))
-        new_cells.extend(chain)
+            name = _unique(name, new_cells, cells, ports)
+            new_cells[name] = _make_cell(name, cell_kind, receiver, 0.0, 1, False)
+            chain.append(name)
 
-        other_loads.append((chain[0].name, "a"))
+        other_loads.append((chain[0], "a"))
         patched[net_name] = _make_net(net_name, net.raw_driver, tuple(other_loads))
-        for i, fix_cell in enumerate(chain):
-            loads = ((chain[i + 1].name, "a"),) if i + 1 < len(chain) else tuple(receiver_loads)
-            out_name = _unique(f"{fix_cell.name}_out", added_net_names, nets_by_name)
-            added_nets.append(_make_net(out_name, (fix_cell.name, "z"), loads))
+        for i, fix_name in enumerate(chain):
+            loads = ((chain[i + 1], "a"),) if i + 1 < len(chain) else tuple(receiver_loads)
+            out_name = _unique(f"{fix_name}_out", new_nets, nets_by_name)
+            new_nets[out_name] = _make_net(out_name, (fix_name, "z"), loads)
 
-    nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(added_nets)
-    return replace(design, cells=design.cells + tuple(new_cells), nets=nets)
+    nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(new_nets.values())
+    return replace(design, cells=design.cells + tuple(new_cells.values()), nets=nets)
 
 
 def insert_sleep_pins(design: Design) -> Design:
@@ -228,6 +221,7 @@ def insert_sleep_pins(design: Design) -> Design:
             port = ports_by_name.get(net_name)
             if port is None or port.direction != "in":
                 name = _unique(net_name, added, design.cells_by_name(), ports_by_name)
+                added.add(name)
                 port = Port(name, "in", design.islands_by_name()[island].vdd)
                 ports.append(port)
             driver = (port.name, "p")

@@ -131,7 +131,7 @@ def test_criterion_7_crossing_analyzer():
     assert len(issues) == 1
     assert issues[0].net == "cpu2usb" and issues[0].kind is IssueKind.NEEDS_LEVEL_SHIFTER
     assert {"cpu2mem", "mem2cpu", "usb2cpu"}.isdisjoint({i.net for i in issues})
-    assert analyze_crossings(apply_power_fixes(design, issues)) == []
+    assert analyze_crossings(apply_power_fixes(design)) == []
 
     rng = random.Random(20260810)
     for _ in range(1000):
@@ -142,7 +142,7 @@ def test_criterion_7_crossing_analyzer():
         for issue in found:
             if issue.kind is IssueKind.NEEDS_LEVEL_SHIFTER:
                 assert vdd[issue.driver_island] < vdd[issue.receiver_island]
-        fixed = apply_power_fixes(candidate, found)
+        fixed = apply_power_fixes(candidate)
         assert analyze_crossings(fixed) == []
         assert validate_design(fixed) == []
     _report(7, "sample SoC needs exactly one shifter; 1000 random designs fix-then-check clean")

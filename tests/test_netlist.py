@@ -14,7 +14,7 @@ from conftest import THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
 from helpers import random_design, random_fixed_design, reference_parse_activity, reference_parse_design
 from pwr import netlist
 from pwr.cli import parse_config
-from pwr.crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins
+from pwr.crossings import apply_power_fixes, insert_sleep_pins
 from pwr.netlist import (
     CellInstance,
     CellKind,
@@ -338,7 +338,7 @@ def test_parsed_endpoints_are_not_gc_tracked():
     design = parse_design(*serialize_design(random_fixed_design(random.Random(7))))
     # and so are those of the nets that fix and the builder make
     pinned = insert_sleep_pins(design)
-    fixed = apply_power_fixes(pinned, analyze_crossings(pinned))
+    fixed = apply_power_fixes(pinned)
     built = _make_net("n", tuple("a.z".split(".")), tuple(tuple(ep.split(".")) for ep in ("b.a", "c.a")))
     nets = design.nets + fixed.nets + (built,)
     gc.collect()

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib
 import io
@@ -6,6 +7,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pwr
 
@@ -17,15 +20,18 @@ from conftest import (
     THREE_ISLAND_INTENT,
     THREE_ISLAND_NETLIST,
 )
-from helpers import random_fixed_design
+from helpers import VOLTAGES, random_fixed_design
 from pwr.cli import parse_config, run_cli
 from pwr.crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins
 from pwr.netlist import (
     CellInstance,
     CellKind,
     Design,
+    Endpoint,
     Island,
+    Net,
     ParseError,
+    Port,
     parse_design,
     serialize_design,
     validate_design,
@@ -466,8 +472,62 @@ def test_fix_writes_the_bytes_of_serialize_design(tmp_path, capsys, seed):
     intent.write_text(intent_text)
     assert run_cli(["fix", "--netlist", str(netlist), "--intent", str(intent), "--out", str(out)]) == 0
     pinned = insert_sleep_pins(parse_design(netlist_text, intent_text))
-    fixed = apply_power_fixes(pinned, analyze_crossings(pinned))
+    fixed = apply_power_fixes(pinned)
     assert out.read_bytes() == serialize_design(fixed)[0].encode("utf-8")
+
+
+def _tally_case(rng: random.Random) -> Design:
+    """A ``random_fixed_design``, sometimes with its manager demoted to a
+    plain cell (so ports drive the sleep nets), and per switchable island
+    sometimes a user port, cell or net named ``slpb_<island>``."""
+    design = random_fixed_design(rng)
+    cells, nets, ports = list(design.cells), list(design.nets), list(design.ports)
+    if rng.random() < 0.3:
+        cells = [CellInstance(c.name, CellKind.STD, c.island, c.cap_ff) if c.kind is CellKind.PIM else c
+                 for c in cells]
+    for island in design.islands:
+        name = f"slpb_{island.name}"
+        if not island.switchable or any(c.name == name for c in cells) or any(n.name == name for n in nets):
+            continue
+        choice = rng.randrange(5)
+        if choice == 1:
+            ports.append(Port(name, rng.choice(("in", "out")), rng.choice(VOLTAGES)))
+        elif choice == 2:
+            cells.append(CellInstance(name, CellKind.STD, rng.choice(design.islands).name))
+        elif choice == 3:  # a user net of that name, maybe on an slpb pin already
+            load = Endpoint(rng.choice(cells).name, rng.choice(("slpb", "a")))
+            nets.append(Net(name, Endpoint(rng.choice(cells).name, "y"), (load,)))
+    return Design(design.islands, tuple(cells), tuple(nets), tuple(ports))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_fix_tally_counts_what_the_library_adds(tmp_path_factory, seed):
+    """N + K issues of the pinned design, K of them on the nets the pin step
+    adds; M is the rise in ``slpb`` loads."""
+    design = _tally_case(random.Random(seed))
+    assert validate_design(design) == []
+    netlist_text, intent_text = serialize_design(design)
+    work = tmp_path_factory.mktemp("tally")
+    netlist, intent, out = work / "in.net", work / "in.intent", work / "fixed.net"
+    netlist.write_text(netlist_text)
+    intent.write_text(intent_text)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run_cli(["fix", "--netlist", str(netlist), "--intent", str(intent), "--out", str(out)]) == 0
+    tally = re.fullmatch(
+        r"wrote (.+): (\d+) crossing fixes, (\d+) sleep pins added, (\d+) sleep-net fixes\n", stdout.getvalue()
+    )
+    assert tally is not None and tally[1] == str(out)
+    crossing_fixes, pins, sleep_fixes = map(int, tally.groups()[1:])
+
+    pinned = insert_sleep_pins(design)
+    issues = analyze_crossings(pinned)
+    added_nets = {n.name for n in pinned.nets} - {n.name for n in design.nets}
+    assert sleep_fixes == sum(issue.net in added_nets for issue in issues)
+    assert crossing_fixes + sleep_fixes == len(issues)
+    slpb_loads = [sum(ep.pin == "slpb" for n in d.nets for ep in n.loads) for d in (design, pinned)]
+    assert pins == slpb_loads[1] - slpb_loads[0]
 
 
 def test_subcommands_are_idempotent(workspace, capsys):
@@ -543,11 +603,15 @@ def test_savings_columns_are_the_row_fields(soc3, char_table):
         ("--freq-mhz", "fast", "argument --freq-mhz: bad number 'fast'"),
         ("--pin", "usb", "argument --pin: bad value 'usb' (want ISLAND=VOLTS)"),
         ("--pin", "usb=high", "argument --pin: bad number 'high'"),
-        ("--pin", "usb=-1", "island usb: vdd must be positive and finite, got -1.0"),
-        ("--pin", "usb=0", "island usb: vdd must be positive and finite, got 0.0"),
+        ("--pin", "mem=-1", "island mem: vdd must be positive and finite, got -1.0"),
+        ("--pin", "mem=0", "island mem: vdd must be positive and finite, got 0.0"),
+        ("--pin", "usb=1.0", "argument --pin: island 'usb' pinned twice"),
         ("--baseline-v", "0", "baseline_v must be positive and finite, got 0.0"),
     ],
-    ids=["freq-not-a-number", "pin-without-equals", "pin-not-a-number", "pin-negative", "pin-zero", "baseline-zero"],
+    ids=[
+        "freq-not-a-number", "pin-without-equals", "pin-not-a-number", "pin-negative", "pin-zero", "pin-twice",
+        "baseline-zero",
+    ],
 )
 def test_optimize_rejections_exit_1_with_their_exact_message(workspace, capsys, option, value, message):
     argv = [
