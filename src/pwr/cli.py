@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
-from .crossings import _crossings, apply_power_fixes, insert_sleep_pins, verify_power_intent
+from .crossings import fix_design, verify_power_intent
 from .netlist import ParseError, _attrs, _flag, _float, _netlist_lines, _token_lines
 from .netlist import parse_activity, parse_characterization, parse_design
 from .pimsim import PimConfig, parse_script, pim_run_script, trace_to_vcd
@@ -99,21 +98,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_fix(args: argparse.Namespace) -> int:
-    design = _load_design(args)
-    pinned = insert_sleep_pins(design)
-    pins = sum(pin == "slpb" for net in pinned.nets for _, pin in net.raw_loads)
-    pins -= sum(pin == "slpb" for net in design.nets for _, pin in net.raw_loads)
-    # insert_sleep_pins appends its new nets after the input's
-    pin_nets = {n.name for n in pinned.nets[len(design.nets):]}
-    del design
-    fixes = Counter(net in pin_nets for net, *_ in _crossings(pinned))
-    counts = f"{fixes[False]} crossing fixes, {pins} sleep pins added, {fixes[True]} sleep-net fixes"
-    fixed = apply_power_fixes(pinned)
-    # the pinned design and its cached index are not needed past this point
-    del pinned
+    fixed, (fixes, pins, sleep_fixes) = fix_design(_load_design(args))
     with open(args.out, "w", encoding="utf-8") as out:
         out.writelines(_netlist_lines(fixed))
-    print(f"wrote {args.out}: {counts}")
+    print(f"wrote {args.out}: {fixes} crossing fixes, {pins} sleep pins added, {sleep_fixes} sleep-net fixes")
     return 0
 
 

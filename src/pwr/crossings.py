@@ -15,6 +15,7 @@ issue names the net whose direct loads are the receivers: the net where
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Container, Iterator
@@ -37,6 +38,7 @@ __all__ = [
     "analyze_crossings",
     "apply_power_fixes",
     "insert_sleep_pins",
+    "fix_design",
     "verify_power_intent",
 ]
 
@@ -76,14 +78,14 @@ def analyze_crossings(design: Design) -> list[CrossingIssue]:
     isolation requirement only if it sits outside the driving island.
     Port endpoints carry no island and are skipped.  The walk itself is
     cached on the design's topology; only the supplies are read per call.
-    ``apply_power_fixes`` and the ``pwr fix`` tally read ``_crossings``.
+    ``apply_power_fixes`` and ``fix_design``'s tally read ``_crossings``.
     """
     return [CrossingIssue(*issue) for issue in _crossings(design)]
 
 
 def _crossings(design: Design) -> Iterator[tuple[str, str, str, IssueKind, float, float]]:
     """The fields of each ``analyze_crossings`` issue, in its order, as a plain
-    tuple: what ``apply_power_fixes`` and the ``pwr fix`` tally read."""
+    tuple: what ``apply_power_fixes`` and ``fix_design``'s tally read."""
     islands = design.islands_by_name()
     for net, driver_name, terminals in design.topology.crossing_walks:
         switchable = islands[driver_name].switchable
@@ -227,6 +229,17 @@ def insert_sleep_pins(design: Design) -> Design:
             driver = (port.name, "p")
         nets.append(_make_net(net_name, driver, tuple(loads)))
     return replace(design, cells=tuple(cells), nets=tuple(nets), ports=tuple(ports))
+
+
+def fix_design(design: Design) -> tuple[Design, tuple[int, int, int]]:
+    """``apply_power_fixes(insert_sleep_pins(design))`` and the ``pwr fix`` counts: crossing issues (not
+    cells) on the input's nets, sleep pins added, and crossing issues on the sleep nets the pin step adds."""
+    pinned = insert_sleep_pins(design)
+    pins = len(_sleep_wired(pinned)) - len(_sleep_wired(design))
+    pin_nets = {n.name for n in pinned.nets[len(design.nets):]}  # the pin step appends its nets
+    del design  # a caller that passes its parse result in keeps no reference to it
+    fixes = Counter(net in pin_nets for net, *_ in _crossings(pinned))
+    return apply_power_fixes(pinned), (fixes[False], pins, fixes[True])
 
 
 def _sleep_wired(design: Design) -> set[str]:

@@ -886,7 +886,8 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
         toggles[name] = toggles.get(name, 0) + count
         durations[name] = durations.get(name, 0.0) + duration
 
-    return {name: min(toggles[name] / (durations[name] * f_clk_mhz * 1e-3), SA_MAX) for name in toggles}
+    # cycles that underflow to 0.0 are fewer than 5e-324: one toggle over them exceeds SA_MAX
+    return {name: min(toggles[name] / (durations[name] * f_clk_mhz * 1e-3 or 5e-324), SA_MAX) for name in toggles}
 
 
 def _activity_fault(line_no: int, tokens: list[str], known: Mapping[str, Net] | None) -> ParseError:

@@ -288,13 +288,16 @@ _TIMESCALES = (("1ns", 1), ("100ps", 10), ("10ps", 100), ("1ps", 1000))
 
 def _timescale(times: list[float]) -> tuple[str, int]:
     """The coarsest unit in which every time is a whole number of units, to
-    1e-9 relative; 1ps, with times rounded, when none is."""
+    1e-9 relative; else the finest unit that holds every time as a float
+    (1ps unless a time overflows it), with times rounded."""
     if all(map(float.is_integer, map(float, times))):  # whole ns, tested at C speed
         return _TIMESCALES[0]
-    for unit, per_ns in _TIMESCALES:
+    latest = max(times)  # times are >= 0
+    fits = [scale for scale in _TIMESCALES if latest * scale[1] < math.inf]
+    for unit, per_ns in fits:
         if all(abs(x - round(x)) <= 1e-9 * x for x in [t * per_ns for t in times]):
             return unit, per_ns
-    return _TIMESCALES[-1]
+    return fits[-1]
 
 
 def trace_to_vcd(trace: Trace) -> str:

@@ -263,6 +263,8 @@ def dynamic_power(design: Design, activity: Mapping[str, float], params: Dynamic
         total = 0.0
         for cap_ff, net in terms:
             total += k * cap_ff * 1e-15 * vdd * vdd * f_clk_mhz * 1e6 * sa(net, 0.0)
+        if not math.isfinite(total):
+            raise ValueError(f"island '{island}': dynamic power is not finite at {f_clk_mhz} MHz")
         per_island[island] = total
     rows = tuple(IslandPower(i.name, dynamic_w=per_island[i.name]) for i in design.islands)
     return PowerReport(rows, assumptions=(("k", params.k), ("f_clk_mhz", params.f_clk_mhz)))
@@ -326,4 +328,7 @@ def power_report(
         IslandPower(d.island, d.dynamic_w, s.static_active_w, s.static_sleep_w)
         for d, s in zip(dyn.islands, stat.islands)
     )
+    for row in rows:
+        if not math.isfinite(row.total_w):
+            raise ValueError(f"island '{row.island}': total power is not finite")
     return PowerReport(rows, manager_w=stat.manager_w, assumptions=dyn.assumptions + stat.assumptions)

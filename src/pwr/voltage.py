@@ -170,7 +170,8 @@ def power_savings_summary(
     total_planned = 0.0
     for island in design.islands:
         point = plan.point(island.name)
-        ratio_sq = (point.vdd / baseline_v) ** 2
+        # ``**`` raises where a square overflows; a ratio under 1e150 keeps the square finite
+        ratio_sq = (point.vdd / baseline_v) ** 2 if point.vdd < baseline_v * 1e150 else math.inf
         theoretical = (1.0 - ratio_sq) * 100.0
         actual = (1.0 - point.cap_factor * ratio_sq) * 100.0
         if point.area_um2 is None:
@@ -196,5 +197,7 @@ def power_savings_summary(
         base_w = base_by_island.get(island.name, 0.0)
         total_base += base_w
         total_planned += base_w * point.cap_factor * ratio_sq
+        if not all(map(math.isfinite, (actual, area_delta, total_base, total_planned))):
+            raise ValueError(f"island '{island.name}': savings against the {baseline_v:g} V baseline are not finite")
 
     return SavingsReport(tuple(rows), total_base, total_planned)

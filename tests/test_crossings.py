@@ -11,6 +11,7 @@ from pwr.crossings import (
     IssueKind,
     analyze_crossings,
     apply_power_fixes,
+    fix_design,
     insert_sleep_pins,
     verify_power_intent,
 )
@@ -175,8 +176,7 @@ def test_sleep_pins_skip_fix_and_manager_cells(gated_soc):
 
 
 def _fix(design):
-    pinned = insert_sleep_pins(design)
-    return apply_power_fixes(pinned)
+    return fix_design(design)[0]
 
 
 def test_existing_shifter_in_an_intermediate_island():
@@ -301,8 +301,7 @@ def test_a_fix_driven_chain_is_walked_from_its_first_fix_cell():
 
 
 def test_verify_clean_after_full_fix(gated_soc):
-    fixed = apply_power_fixes(gated_soc)
-    fixed = insert_sleep_pins(fixed)
+    fixed, _ = fix_design(gated_soc)
     assert verify_power_intent(fixed) == []
 
 
@@ -316,8 +315,7 @@ def test_verify_counts_both_violation_families(gated_soc):
 
 
 def test_verify_flags_single_missing_pin(gated_soc):
-    fixed = apply_power_fixes(gated_soc)
-    fixed = insert_sleep_pins(fixed)
+    fixed, _ = fix_design(gated_soc)
     # strip one sleep pin back off
     cells = tuple(
         replace(c, has_sleep_pin=False) if c.name == "logic2" else c for c in fixed.cells

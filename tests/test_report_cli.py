@@ -3,6 +3,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import random
 import re
 
@@ -22,8 +23,9 @@ from conftest import (
 )
 from helpers import VOLTAGES, random_fixed_design
 from pwr.cli import parse_config, run_cli
-from pwr.crossings import analyze_crossings, apply_power_fixes, insert_sleep_pins
+from pwr.crossings import analyze_crossings, apply_power_fixes, fix_design, insert_sleep_pins, verify_power_intent
 from pwr.netlist import (
+    SA_MAX,
     CellInstance,
     CellKind,
     Design,
@@ -32,6 +34,7 @@ from pwr.netlist import (
     Net,
     ParseError,
     Port,
+    parse_activity,
     parse_design,
     serialize_design,
     validate_design,
@@ -381,6 +384,146 @@ def test_power_whose_static_watts_overflow_exits_1_naming_the_island(tmp_path, c
     assert (captured.out, captured.err) == ("", "pwr: error: island 'a': static power is not finite at 10200.0 C\n")
 
 
+def _reject_constant(name):
+    raise AssertionError(f"json output holds {name}")
+
+
+@pytest.mark.parametrize(
+    "cell, vdd, activity, fclk_mhz, message",
+    [
+        ("cap_ff=1e300", "1.2", "toggles=1 duration_ns=10", "1e300", "dynamic power is not finite at 1e+300 MHz"),
+        ("cap_ff=1e300", "1.2", "toggles=0 duration_ns=10", "1e300", "dynamic power is not finite at 1e+300 MHz"),
+        # dynamic 1e307 W and static 1.5e308 W, each finite
+        (f"cap_ff=5e101 gates={3 * 10**214}", "1e100", "toggles=2 duration_ns=1e-12", "1e15",
+         "total power is not finite"),
+    ],
+    ids=["dynamic-infinite", "dynamic-nan", "sum-infinite"],
+)
+def test_power_whose_watts_overflow_exits_1_naming_the_island(
+    tmp_path, capsys, cell, vdd, activity, fclk_mhz, message
+):
+    netlist_path, intent_path, activity_path = tmp_path / "big.net", tmp_path / "big.intent", tmp_path / "big.act"
+    netlist_path.write_text(f"cell c0 kind=std island=a {cell}\nnet n0 driver=c0.z loads=c0.a\n")
+    intent_path.write_text(f"island a vdd={vdd}\n")
+    activity_path.write_text(f"net n0 {activity}\n")
+    argv = [
+        "power", "--netlist", str(netlist_path), "--intent", str(intent_path), "--activity", str(activity_path),
+        "--fclk-mhz", fclk_mhz, "--format", "csv",
+    ]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"pwr: error: island 'a': {message}\n")
+
+
+def test_power_at_a_clock_whose_cycle_count_underflows_caps_the_activity(workspace, capsys):
+    assert parse_activity("net n toggles=3 duration_ns=1\nnet m toggles=0 duration_ns=1\n", 5e-324) == {
+        "n": SA_MAX, "m": 0.0,
+    }
+    argv = [
+        "power", "--netlist", workspace["netlist"], "--intent", workspace["intent"],
+        "--activity", workspace["activity"], "--fclk-mhz", "5e-324", "--format", "json",
+    ]
+    assert run_cli(argv) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize(
+    "options, island, baseline",
+    [
+        (["--pin", "cpu=0.9", "--pin", "mem=0.9", "--pin", "usb=1.2", "--baseline-v", "1e-300"], "cpu", "1e-300"),
+        (["--pin", "usb=1.7e308", "--baseline-v", "0.8"], "usb", "0.8"),
+    ],
+    ids=["square-raises", "ratio-infinite"],
+)
+def test_optimize_whose_savings_overflow_exits_1_naming_the_island(workspace, capsys, options, island, baseline):
+    argv = [
+        "optimize", "--netlist", workspace["netlist"], "--intent", workspace["intent"],
+        "--char", workspace["char"], "--freq-mhz", "150", *options, "--format", "csv",
+    ]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    message = f"pwr: error: island '{island}': savings against the {baseline} V baseline are not finite\n"
+    assert (captured.out, captured.err) == ("", message)
+
+
+def test_sleep_sim_vcd_rounds_in_the_finest_unit_that_holds_every_time(workspace, capsys):
+    script, vcd = workspace["dir"] / "far.script", workspace["dir"] / "far.vcd"
+    script.write_text("at 0.5 write_sleep\nat 1e308 write_sleep\nat 1.7e308 read_status\n")
+    assert run_cli(["sleep-sim", "--script", str(script), "--vcd", str(vcd)]) == 0
+    lines = vcd.read_text().splitlines()
+    # 100ps would need 1e309 units: every time is rounded to whole ns
+    assert lines[0] == "$timescale 1ns $end"
+    assert [line for line in lines if line.startswith("#")] == ["#20", "#40", "#60", f"#{int(1e308)}"]
+
+
+# numbers at the ends of the float range, and an integer too long for a float
+# to hold exactly
+_EDGES = ("0", "5e-324", "1e-300", "1e308", "1.7e308", "123456789012345678901234567890")
+# the ordinary value of each number the property varies, by the command that reads it
+_ORDINARY = {
+    "design": {"vdd_cpu": "1.2", "vdd_mem": "0.8", "vdd_logic": "1.2", "cap_ff": "300", "gates": "21600"},
+    "power": {"toggles": "30", "duration_ns": "1000", "fclk_mhz": "150", "k": "1", "temp_c": "25",
+              "i0_per_gate_25c": "5e-7", "temp_doubling_c": "10", "manager_overhead_w": "4e-6"},
+    "optimize": {"vdd": "1.0", "fmax_mhz": "260", "area_um2": "560", "cap_factor": "1.2",
+                 "baseline_area_um2": "1000", "freq_mhz": "250", "baseline_v": "1.2", "pin": "1.2"},
+    "sleep-sim": {"at_1": "0.5", "at_2": "100", "at_3": "200", "t_iso_on": "20", "t_save": "20"},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_numeric_edges_end_in_a_finite_answer_or_one_error_line(tmp_path_factory, data):
+    """A few numbers at a time take an edge value, the rest their ordinary
+    one, so that most runs get past the first check that rejects an edge."""
+    work = tmp_path_factory.mktemp("edges")
+
+    def put(name, text):
+        (work / name).write_text(text)
+        return str(work / name)
+
+    command = data.draw(st.sampled_from(("power", "optimize", "sleep-sim")))
+    fmt = data.draw(st.sampled_from(("text", "json", "csv")))
+    v = _ORDINARY[command] | (_ORDINARY["design"] if command != "sleep-sim" else {})
+    v |= data.draw(st.dictionaries(st.sampled_from(sorted(v)), st.sampled_from(_EDGES), max_size=3))
+    if command == "sleep-sim":
+        script = f"at {v['at_1']} write_sleep\nat {v['at_2']} write_sleep\nat {v['at_3']} read_status\n"
+        argv = ["sleep-sim", "--script", put("sim.script", script),
+                "--config", put("pim.cfg", f"t_iso_on={v['t_iso_on']} t_save={v['t_save']}\n"),
+                "--vcd", str(work / "sim.vcd")]
+    else:
+        netlist = GATED_NETLIST.replace("cap_ff=300.0 gates=21600", f"cap_ff={v['cap_ff']} gates={v['gates']}", 1)
+        intent = (f"island cpu vdd={v['vdd_cpu']}\nisland mem vdd={v['vdd_mem']}\n"
+                  f"island logic vdd={v['vdd_logic']} switchable=1\n")
+        argv = [command, "--netlist", put("soc.net", netlist), "--intent", put("soc.intent", intent), "--format", fmt]
+    if command == "power":
+        activity = f"net l2c toggles={v['toggles']} duration_ns={v['duration_ns']}\n"
+        config = "".join(f"{key}={v[key]}\n" for key in ("i0_per_gate_25c", "temp_doubling_c", "manager_overhead_w"))
+        argv += ["--activity", put("soc.act", activity), "--fclk-mhz", v["fclk_mhz"], "--k", v["k"],
+                 "--temp-c", v["temp_c"], "--config", put("leak.cfg", config)]
+        argv += ["--sleep", "logic"] * data.draw(st.booleans())
+    elif command == "optimize":
+        baseline = f"vdd=1.2 fmax_mhz=300 area_um2={v['baseline_area_um2']} cap_factor=1"
+        char = "".join(f"op {c} {baseline}\n" for c in ("cpu", "mem", "logic"))
+        point = " ".join(f"{key}={v[key]}" for key in ("vdd", "fmax_mhz", "area_um2", "cap_factor"))
+        char += f"op logic {point}\n"
+        argv += ["--char", put("soc.char", char), "--freq-mhz", v["freq_mhz"], "--baseline-v", v["baseline_v"]]
+        argv += ["--pin", f"logic={v['pin']}"] * data.draw(st.booleans())
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert re.fullmatch(r"pwr: error: [^\n]+\n", err.getvalue())
+    elif code == 0 and command != "sleep-sim" and fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    elif code == 0 and command != "sleep-sim" and fmt == "csv":
+        for row in csv.reader(io.StringIO(out.getvalue())):
+            for cell in row:
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(cell)), row
+
+
 @pytest.mark.parametrize(
     "config_text, message",
     [("bias_v=5\n", "bias_v must be <= 0"), ("t_save=-1\n", "t_save must be finite and >= 0, got -1.0")],
@@ -520,6 +663,7 @@ def test_fix_tally_counts_what_the_library_adds(tmp_path_factory, seed):
     )
     assert tally is not None and tally[1] == str(out)
     crossing_fixes, pins, sleep_fixes = map(int, tally.groups()[1:])
+    assert (crossing_fixes, pins, sleep_fixes) == fix_design(design)[1]
 
     pinned = insert_sleep_pins(design)
     issues = analyze_crossings(pinned)
@@ -528,6 +672,17 @@ def test_fix_tally_counts_what_the_library_adds(tmp_path_factory, seed):
     assert crossing_fixes + sleep_fixes == len(issues)
     slpb_loads = [sum(ep.pin == "slpb" for n in d.nets for ep in n.loads) for d in (design, pinned)]
     assert pins == slpb_loads[1] - slpb_loads[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_fix_design_is_pins_then_splices_and_a_fixed_point(seed, tally):
+    design = (_tally_case if tally else random_fixed_design)(random.Random(seed))
+    fixed, _ = fix_design(design)
+    assert fixed == apply_power_fixes(insert_sleep_pins(design))
+    assert verify_power_intent(fixed) == []
+    again, counts = fix_design(fixed)
+    assert again is fixed and counts == (0, 0, 0)
 
 
 def test_subcommands_are_idempotent(workspace, capsys):
