@@ -15,7 +15,7 @@ from pathlib import Path
 from .crossings import fix_design, verify_power_intent
 from .netlist import ParseError, _attrs, _flag, _float, _netlist_lines, _token_lines
 from .netlist import parse_activity, parse_characterization, parse_design
-from .pimsim import PimConfig, parse_script, pim_run_script, trace_to_vcd
+from .pimsim import PimConfig, _blocks, _trace_blocks, _vcd_lines, parse_script
 from .power import DynamicPowerParams, LeakageModel, power_report
 from .report import (
     emit_many,
@@ -138,10 +138,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_sleep_sim(args: argparse.Namespace) -> int:
     _, config = _configured(args.config)
-    trace = pim_run_script(config, parse_script(_read(args.script)))
-    sys.stdout.write(trace.to_text())
+    times: list[float] = []
+    changes: list[str] = []
+    # a bad script fails before the first block; the VCD needs the whole run first
+    sys.stdout.writelines(_trace_blocks(config, parse_script(_read(args.script)), times, changes))
     if args.vcd:
-        Path(args.vcd).write_text(trace_to_vcd(trace), encoding="utf-8")
+        with open(args.vcd, "w", encoding="utf-8") as out:
+            out.writelines(_blocks(_vcd_lines(times, changes)))
     return 0
 
 

@@ -73,6 +73,7 @@ supplies and shares the index, while any other new ``Design`` builds its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
@@ -132,6 +133,9 @@ SLEEPABLE_KINDS = frozenset((CellKind.STD, CellKind.RET_FF, CellKind.SRAM))
 
 # Clock nets toggle twice per cycle, which bounds switching activity.
 SA_MAX = 2.0
+# The largest gate or toggle count, or sum of them: the largest integer a
+# float holds, so the power arithmetic never overflows converting a count.
+_MAX_COUNT = int(sys.float_info.max)
 
 
 class Endpoint(NamedTuple):
@@ -754,8 +758,8 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
             yield "cell", i, f"unknown island '{cell.island}'"
         if not 0 <= cell.cap_ff < math.inf:
             yield "cell", i, "cap_ff must be finite and >= 0"
-        if cell.gate_count < 1:
-            yield "cell", i, "gates must be >= 1"
+        if not 1 <= cell.gate_count <= _MAX_COUNT:
+            yield "cell", i, "gates must be >= 1 and fit a float"
         if cell.kind is CellKind.PIM:
             if pim_seen:
                 yield "cell", i, "multiple pim cells"
@@ -763,6 +767,15 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
             # an island manager that powers itself down cannot wake its island
             if cell.island in switchable:
                 yield "cell", i, f"pim in switchable island '{cell.island}'"
+    # Each count fits a float, but an island's sum may not.  That is rare, so
+    # the cell where a sum first overflows is looked for only then.
+    if sum(cell.gate_count for cell in design.cells) > _MAX_COUNT:
+        totals: dict[str, int] = {}
+        for i, cell in enumerate(design.cells):
+            if 1 <= cell.gate_count <= _MAX_COUNT:
+                total = totals[cell.island] = totals.get(cell.island, 0) + cell.gate_count
+                if total - cell.gate_count <= _MAX_COUNT < total:
+                    yield "cell", i, f"gates of island '{cell.island}' add up to more than a float holds"
 
     # cells and ports share one endpoint namespace
     direction: dict[str, str] = {}
@@ -877,13 +890,16 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
                     duration = float(value)
                 else:
                     raise ValueError
-            if count is None or count < 0 or duration is None or not 0 < duration < inf:
+            if count is None or not 0 <= count <= _MAX_COUNT or duration is None or not 0 < duration < inf:
                 raise ValueError
             if known is not None:
                 name = known[name].name
         except (ValueError, KeyError):
             raise _activity_fault(line_no, tokens, known) from None
-        toggles[name] = toggles.get(name, 0) + count
+        count += toggles.get(name, 0)
+        if count > _MAX_COUNT:
+            raise ParseError("activity", line_no, f"toggles of net '{name}' add up to more than a float holds")
+        toggles[name] = count
         durations[name] = durations.get(name, 0.0) + duration
 
     # cycles that underflow to 0.0 are fewer than 5e-324: one toggle over them exceeds SA_MAX
@@ -898,8 +914,11 @@ def _activity_fault(line_no: int, tokens: list[str], known: Mapping[str, Net] | 
         _, _, name, attrs = next(_statements("activity", [(line_no, tokens)], _ACTIVITY_GRAMMAR))
         if known is not None and name not in known:
             raise ParseError("activity", line_no, f"unknown net '{name}'")
-        if _int("activity", line_no, "toggles", attrs["toggles"]) < 0:
+        count = _int("activity", line_no, "toggles", attrs["toggles"])
+        if count < 0:
             raise ParseError("activity", line_no, f"toggles must be >= 0, got '{attrs['toggles']}'")
+        if count > _MAX_COUNT:
+            raise ParseError("activity", line_no, "toggles must fit a float")
         if _float("activity", line_no, "duration_ns", attrs["duration_ns"]) <= 0:
             raise ParseError("activity", line_no, f"duration_ns must be positive, got '{attrs['duration_ns']}'")
     except ParseError as error:
@@ -935,6 +954,8 @@ def parse_characterization(char_text: str) -> CharTable:
         cap_factor = _float(src, line_no, "cap_factor", attrs["cap_factor"])
         if (name, vdd) in seen:
             raise ParseError(src, line_no, f"duplicate row for ({name}, {attrs['vdd']})")
+        if vdd <= 0:
+            raise ParseError(src, line_no, f"vdd must be positive, got '{attrs['vdd']}'")
         if fmax <= 0 or area <= 0:
             raise ParseError(src, line_no, "fmax_mhz and area_um2 must be positive")
         if cap_factor <= 0:

@@ -16,14 +16,21 @@ fires, the state it moves to and the `PimConfig` field that times the next
 step.  Landing in ACTIVE or SLEEP re-examines the latched request
 (`_LEAVE`).  Each completed step builds one new `PimState`.
 `pim_advance`, `pim_write_sleep` and `pim_read_status` are the only
-implementation of the FSM; `pim_run_script` loops over them.
+implementation of the FSM.
+
+One event loop, `_events`, drives them from a timed script, after
+`_check_script` has rejected a bad script whole.  `pim_run_script` collects
+its events into a `Trace`; `pwr sleep-sim` writes them as they fire, through
+the same line generators that `Trace.to_text` and `trace_to_vcd` join.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import islice
 
 from .netlist import ParseError, _float, _token_lines
 
@@ -151,11 +158,17 @@ class Trace:
     events: tuple[tuple[float, str], ...] = ()
 
     def to_text(self) -> str:
-        return "".join(f"{_fmt_ns(t)} {event}\n" for t, event in self.events)
+        return "".join(_trace_lines(self.events))
 
 
 def _fmt_ns(t: float) -> str:
     return str(int(t)) if t == int(t) else repr(t)
+
+
+def _trace_lines(events: Iterable[tuple[float, str]]) -> Iterator[str]:
+    """One ``<ns> <event>`` line per event."""
+    for t, event in events:
+        yield f"{_fmt_ns(t)} {event}\n"
 
 
 def pim_new(config: PimConfig | None = None) -> PimState:
@@ -188,17 +201,22 @@ def pim_write_sleep(state: PimState, value: bool | None = None) -> PimState:
     which is re-examined when the transition lands in SLEEP or ACTIVE.
     """
     config = state.config
-    if config.explicit_bit:
-        if value is None:
-            raise ValueError("explicit_bit mode requires a written value")
-        request = bool(value)
-    else:
-        if value is not None:
-            raise ValueError("toggle mode takes no written value")
-        request = not state.sleep_request
+    fault = _mode_fault(config, value)
+    if fault:
+        raise ValueError(fault)
+    request = bool(value) if config.explicit_bit else not state.sleep_request
     if state.deadline is None:
         return _land(config, state.fsm, request, state.now)
     return PimState(config, state.fsm, request, state.now, state.deadline)
+
+
+def _mode_fault(config: PimConfig, value: bool | None) -> str | None:
+    """Why a write of ``value`` does not suit the register's mode, if it does not."""
+    if config.explicit_bit and value is None:
+        return "explicit_bit mode requires a written value"
+    if not config.explicit_bit and value is not None:
+        return "toggle mode takes no written value"
+    return None
 
 
 def _complete_step(state: PimState) -> tuple[PimState, tuple[str, ...]]:
@@ -211,11 +229,15 @@ def _complete_step(state: PimState) -> tuple[PimState, tuple[str, ...]]:
     return PimState(config, fsm, state.sleep_request, t, t + getattr(config, timer)), fired
 
 
-def pim_advance(state: PimState, dt: float) -> tuple[PimState, list[tuple[float, str]]]:
-    """Advance simulated time by dt, firing every transition that falls due."""
+def _checked_dt(dt: float) -> float:
     if not 0.0 <= dt < math.inf:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
-    end = state.now + dt
+    return dt
+
+
+def pim_advance(state: PimState, dt: float) -> tuple[PimState, list[tuple[float, str]]]:
+    """Advance simulated time by dt, firing every transition that falls due."""
+    end = state.now + _checked_dt(dt)
     events: list[tuple[float, str]] = []
     while state.deadline is not None and state.deadline <= end:
         t = state.deadline
@@ -224,26 +246,51 @@ def pim_advance(state: PimState, dt: float) -> tuple[PimState, list[tuple[float,
     return PimState(state.config, state.fsm, state.sleep_request, end, state.deadline), events
 
 
+def _check_script(config: PimConfig, script: Iterable[ScriptCommand]) -> None:
+    """Raise the error that running ``script`` would raise, before it fires
+    any event: the first command, in script order, whose time goes back or
+    is not finite, whose write does not suit the register's mode, or whose
+    op is unknown.  ``now`` steps as `pim_advance` steps it."""
+    now = 0.0
+    for position, command in enumerate(script, start=1):
+        if command.time_ns < now:
+            raise ValueError(f"script times must be non-decreasing (got {command.time_ns:g} ns)")
+        now += _checked_dt(command.time_ns - now)
+        if command.op == "write_sleep":
+            fault = _mode_fault(config, command.value)
+            if fault:
+                raise ValueError(f"script command {position} at {command.time_ns:g} ns: {fault}")
+        elif command.op != "read_status":
+            raise ValueError(f"unknown script command '{command.op}'")
+
+
+# status -> the event a read of it fires, one shared string each
+_STATUS_EVENTS = {status: f"STATUS={status.value}" for status in PimStatus}
+
+
+def _events(config: PimConfig, script: Iterable[ScriptCommand]) -> Iterator[tuple[float, str]]:
+    """The one event loop: each ``(time, event)`` of a checked script as the
+    register interface fires it."""
+    state = pim_new(config)
+    for command in script:
+        state, due = pim_advance(state, command.time_ns - state.now)
+        yield from due
+        if command.op == "write_sleep":
+            state = pim_write_sleep(state, command.value)
+            yield state.now, "WRITE_SLEEP"
+        else:
+            yield state.now, _STATUS_EVENTS[pim_read_status(state)]
+
+
 def pim_run_script(config: PimConfig | None, script: tuple[ScriptCommand, ...] | list[ScriptCommand]) -> Trace:
     """Drive the register interface from a timed command list."""
-    state = pim_new(config)
-    events: list[tuple[float, str]] = []
-    for position, command in enumerate(script, start=1):
-        if command.time_ns < state.now:
-            raise ValueError(f"script times must be non-decreasing (got {command.time_ns:g} ns)")
-        state, due = pim_advance(state, command.time_ns - state.now)
-        events.extend(due)
-        if command.op == "write_sleep":
-            try:
-                state = pim_write_sleep(state, command.value)
-            except ValueError as err:
-                raise ValueError(f"script command {position} at {command.time_ns:g} ns: {err}") from None
-            events.append((state.now, "WRITE_SLEEP"))
-        elif command.op == "read_status":
-            events.append((state.now, f"STATUS={pim_read_status(state).value}"))
-        else:
-            raise ValueError(f"unknown script command '{command.op}'")
-    return Trace(tuple(events))
+    config, script = config or PimConfig(), tuple(script)
+    _check_script(config, script)
+    return Trace(tuple(_events(config, script)))
+
+
+# Each command's op, as one shared string rather than a copy per line.
+_OPS = {op: op for op in ("write_sleep", "read_status")}
 
 
 def parse_script(text: str) -> tuple[ScriptCommand, ...]:
@@ -255,9 +302,9 @@ def parse_script(text: str) -> tuple[ScriptCommand, ...]:
         time_ns = _float("script", line_no, "time", tokens[1])
         if time_ns < 0:
             raise ParseError("script", line_no, f"time must be >= 0, got '{tokens[1]}'")
-        op = tokens[2]
-        if op not in ("write_sleep", "read_status"):
-            raise ParseError("script", line_no, f"unknown command '{op}'")
+        op = _OPS.get(tokens[2])
+        if op is None:
+            raise ParseError("script", line_no, f"unknown command '{tokens[2]}'")
         value: bool | None = None
         if len(tokens) > 3:
             if op != "write_sleep" or tokens[3] not in ("0", "1"):
@@ -273,14 +320,14 @@ def parse_script(text: str) -> tuple[ScriptCommand, ...]:
 # VCD emission
 
 _VCD_VARS = (("iso", "!"), ("slpb_bias_on", '"'), ("ret_saved", "#"))
-# event -> the value change it writes: new bit, then the signal's VCD id
+# event -> the value-change line it writes: new bit, then the signal's VCD id
 _EVENT_TO_CHANGE = {
-    "ISO=1": "1!",
-    "ISO=0": "0!",
-    "BIAS=1": '1"',
-    "BIAS=0": '0"',
-    "SAVE_DONE": "1#",
-    "RESTORE_DONE": "0#",
+    "ISO=1": "1!\n",
+    "ISO=0": "0!\n",
+    "BIAS=1": '1"\n',
+    "BIAS=0": '0"\n',
+    "SAVE_DONE": "1#\n",
+    "RESTORE_DONE": "0#\n",
 }
 # VCD time units, coarsest first, with the number of units per ns
 _TIMESCALES = (("1ns", 1), ("100ps", 10), ("10ps", 100), ("1ps", 1000))
@@ -300,24 +347,69 @@ def _timescale(times: list[float]) -> tuple[str, int]:
     return fits[-1]
 
 
+def _tap_signals(
+    events: Iterable[tuple[float, str]], times: list[float], changes: list[str]
+) -> Iterator[tuple[float, str]]:
+    """Pass ``events`` on, appending the time and value-change line of each
+    signal event to ``times`` and ``changes``."""
+    for t, event in events:
+        change = _EVENT_TO_CHANGE.get(event)
+        if change is not None:
+            times.append(t)
+            changes.append(change)
+        yield t, event
+
+
+def _vcd_lines(times: list[float], changes: list[str]) -> Iterator[str]:
+    """The lines of `trace_to_vcd` for the signal events at ``times``, whose
+    value-change lines are ``changes``: the timescale needs every time
+    before the first line."""
+    unit, per_ns = _timescale(times)
+    yield f"$timescale {unit} $end\n$scope module pim $end\n"
+    for name, vid in _VCD_VARS:
+        yield f"$var wire 1 {vid} {name} $end\n"
+    yield "$upscope $end\n$enddefinitions $end\n$dumpvars\n"
+    for _, vid in _VCD_VARS:
+        yield f"0{vid}\n"
+    yield "$end\n"
+
+    last_time: int | None = None
+    for t, change in zip(times, changes):
+        time = int(round(t * per_ns))
+        if time != last_time:
+            yield f"#{time}\n"
+            last_time = time
+        yield change
+
+
 def trace_to_vcd(trace: Trace) -> str:
     """Minimal value-change dump of the three controller signals, in the
     coarsest timescale that keeps every event time exact."""
-    unit, per_ns = _timescale([t for t, event in trace.events if event in _EVENT_TO_CHANGE])
-    lines = [f"$timescale {unit} $end", "$scope module pim $end"]
-    lines += [f"$var wire 1 {vid} {name} $end" for name, vid in _VCD_VARS]
-    lines += ["$upscope $end", "$enddefinitions $end", "$dumpvars"]
-    lines += [f"0{vid}" for _, vid in _VCD_VARS]
-    lines.append("$end")
+    times: list[float] = []
+    changes: list[str] = []
+    for _ in _tap_signals(trace.events, times, changes):
+        pass
+    return "".join(_vcd_lines(times, changes))
 
-    last_time: int | None = None
-    for t, event in trace.events:
-        change = _EVENT_TO_CHANGE.get(event)
-        if change is None:
-            continue
-        time = int(round(t * per_ns))
-        if time != last_time:
-            lines.append(f"#{time}")
-            last_time = time
-        lines.append(change)
-    return "\n".join(lines) + "\n"
+
+# ---------------------------------------------------------------------------
+# streamed output of `pwr sleep-sim`
+
+_BLOCK_LINES = 4096  # lines joined into each block written
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` joined into one string per ``_BLOCK_LINES`` lines."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, _BLOCK_LINES)):
+        yield block
+
+
+def _trace_blocks(
+    config: PimConfig, script: tuple[ScriptCommand, ...], times: list[float], changes: list[str]
+) -> Iterator[str]:
+    """The trace text of ``script`` in blocks, made as its events fire, with
+    the signal events tapped into ``times`` and ``changes`` for the VCD.  The
+    script is checked whole here, before the first block exists."""
+    _check_script(config, script)
+    return _blocks(_trace_lines(_tap_signals(_events(config, script), times, changes)))

@@ -595,6 +595,12 @@ def test_parse_characterization_rejects_nonpositive():
         parse_characterization("op x vdd=1.0 fmax_mhz=0 area_um2=1 cap_factor=1\n")
 
 
+def test_an_operating_point_at_zero_volts_is_rejected_at_its_line():
+    with pytest.raises(ParseError) as info:
+        parse_characterization("op x vdd=1.0 fmax_mhz=100 area_um2=1 cap_factor=1\nop x vdd=0 fmax_mhz=50 area_um2=1 cap_factor=1\n")
+    assert str(info.value) == "characterization line 2: vdd must be positive, got '0'"
+
+
 # -- non-finite numbers ------------------------------------------------------------
 
 

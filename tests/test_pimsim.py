@@ -1,4 +1,7 @@
+import contextlib
+import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from helpers import (
     reference_pim_run_script,
     reference_pim_write_sleep,
 )
+from pwr.cli import parse_config, run_cli
 from pwr.netlist import ParseError
 from pwr.pimsim import (
     PimConfig,
@@ -384,3 +388,97 @@ def test_vcd_timescale_falls_back_to_rounded_picoseconds():
     # 0.4, 0.8 and 1.2 ps are whole in no unit, so 1ps rounds them
     assert vcd.startswith("$timescale 1ps $end\n")
     assert vcd.endswith("$end\n#0\n1!\n#1\n1#\n1\"\n")
+
+
+# -- pwr sleep-sim streams what the library returns --------------------------------
+
+_STEP_KEYS = ("t_iso_on", "t_save", "t_bias_on", "t_bias_off", "t_restore", "t_iso_off")
+
+
+@st.composite
+def sim_inputs(draw):
+    """A ``--config`` text (register mode and step times, zero, fractional
+    and huge among them) and a script whose times step by zero, fractional
+    and whole gaps, and may jump close to the top of the float range."""
+    explicit = draw(st.booleans())
+    steps = {key: draw(st.sampled_from([0.0, 0.4, 2.5, 20.0, 1e300])) for key in draw(st.sets(st.sampled_from(_STEP_KEYS)))}
+    config = f"explicit_bit={int(explicit)}\n" + "".join(f"{key}={value!r}\n" for key, value in steps.items())
+    t, lines = 0.0, []
+    for _ in range(draw(st.integers(0, 20))):
+        t = max(t, draw(st.one_of(
+            st.sampled_from([0.0, 0.25, 1.0, 7.5, 20.0, 60.0]).map(t.__add__),
+            st.sampled_from([1e308, 1.5e308, 1.7e308]),
+        )))
+        if draw(st.booleans()):
+            value = f" {int(draw(st.booleans()))}" if explicit else ""
+            lines.append(f"at {t!r} write_sleep{value}\n")
+        else:
+            lines.append(f"at {t!r} read_status\n")
+    return config, "".join(lines)
+
+
+def _sleep_sim(tmp_path, config_text, script_text):
+    """Run ``pwr sleep-sim --vcd`` in process: exit code, stdout, stderr and the VCD path."""
+    (tmp_path / "pim.cfg").write_text(config_text)
+    (tmp_path / "sim.script").write_text(script_text)
+    vcd = tmp_path / "sim.vcd"
+    argv = ["sleep-sim", "--script", str(tmp_path / "sim.script"), "--config", str(tmp_path / "pim.cfg"), "--vcd", str(vcd)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue(), vcd
+
+
+@settings(max_examples=150, deadline=None)
+@given(sim_inputs())
+def test_sleep_sim_streams_the_library_trace_and_vcd(tmp_path_factory, inputs):
+    config_text, script_text = inputs
+    code, out, err, vcd = _sleep_sim(tmp_path_factory.mktemp("sim"), config_text, script_text)
+    trace = pim_run_script(PimConfig(**parse_config(config_text)), parse_script(script_text))
+    assert (code, err) == (0, "")
+    assert out == trace.to_text()
+    assert vcd.read_text() == trace_to_vcd(trace)
+
+
+@pytest.mark.parametrize(
+    "config_text, script_text",
+    [
+        ("", "at 1000 write_sleep\nat 1100 read_status\n# later\nat 1150 write_sleep\nat 1120 read_status\n"),
+        ("explicit_bit=1\n", "at 1000 write_sleep 1\nat 1070 write_sleep 0\nat 1200 read_status\nat 1210 write_sleep\n"),
+    ],
+    ids=["time-goes-back", "explicit-without-value"],
+)
+def test_a_script_that_fails_after_events_fired_writes_nothing(tmp_path, config_text, script_text):
+    # more trace lines before the fault than one written block holds
+    script_text = "".join(f"at {i / 10} read_status\n" for i in range(5000)) + script_text
+    with pytest.raises(ValueError) as info:
+        pim_run_script(PimConfig(**parse_config(config_text)), parse_script(script_text))
+    code, out, err, vcd = _sleep_sim(tmp_path, config_text, script_text)
+    assert (code, out, err) == (1, "", f"pwr: error: {info.value}\n")
+    assert not vcd.exists()
+
+
+def test_sleep_sim_memory_stays_below_half_of_holding_the_whole_run(tmp_path):
+    """25k commands.  Holding the script, the trace, its text and the VCD
+    at once peaked at 10.6 MB of tracemalloc on this input; streaming them
+    peaks at 3.9 MB.  The bound is below half of the former."""
+    rng = random.Random(1)
+    t, lines = 0, []
+    for _ in range(25_000):
+        t += rng.choice((1, 5, 19, 20, 21, 40, 60, 100))
+        lines.append(f"at {t} {rng.choice(('write_sleep', 'read_status'))}\n")
+    script_text = "".join(lines)
+    (tmp_path / "sim.script").write_text(script_text)
+    argv = ["sleep-sim", "--script", str(tmp_path / "sim.script"), "--vcd", str(tmp_path / "sim.vcd")]
+    with open(tmp_path / "trace.txt", "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak <= 5.0e6, f"{peak / 1e6:.1f} MB"
+    trace = pim_run_script(PimConfig(), parse_script(script_text))
+    assert (tmp_path / "trace.txt").read_text() == trace.to_text()
+    assert (tmp_path / "sim.vcd").read_text() == trace_to_vcd(trace)

@@ -456,9 +456,59 @@ def test_sleep_sim_vcd_rounds_in_the_finest_unit_that_holds_every_time(workspace
     assert [line for line in lines if line.startswith("#")] == ["#20", "#40", "#60", f"#{int(1e308)}"]
 
 
-# numbers at the ends of the float range, and an integer too long for a float
-# to hold exactly
-_EDGES = ("0", "5e-324", "1e-300", "1e308", "1.7e308", "123456789012345678901234567890")
+# An integer past the float range: 401 digits.
+_HUGE_INT = "1" * 401
+
+
+@pytest.mark.parametrize("command", ["check", "power"])
+def test_a_gate_count_past_the_float_range_fails_every_command_at_its_line(workspace, capsys, command):
+    netlist = workspace["dir"] / "huge.net"
+    netlist.write_text(THREE_ISLAND_NETLIST.replace("gates=9000", f"gates={_HUGE_INT}"))
+    argv = [command, "--netlist", str(netlist), "--intent", workspace["intent"]]
+    if command == "power":
+        argv += ["--activity", workspace["activity"], "--fclk-mhz", "150"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    message = "pwr: error: netlist line 3: cell usb0: gates must be >= 1 and fit a float\n"
+    assert (captured.out, captured.err) == ("", message)
+
+
+def test_gate_counts_that_add_up_past_the_float_range_fail_at_the_cell_that_overflows(workspace, capsys):
+    netlist = workspace["dir"] / "huge.net"
+    big = f"gates={10**308}"
+    netlist.write_text(THREE_ISLAND_NETLIST.replace("gates=9000", big).replace("gates=30000", big)
+                       + f"cell usb1 kind=std island=usb {big}\nnet u1 driver=usb1.z loads=cpu0.c\n")
+    argv = ["power", "--netlist", str(netlist), "--intent", workspace["intent"],
+            "--activity", workspace["activity"], "--fclk-mhz", "150"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    message = "pwr: error: netlist line 8: cell usb1: gates of island 'usb' add up to more than a float holds\n"
+    assert (captured.out, captured.err) == ("", message)
+
+
+@pytest.mark.parametrize(
+    "activity, message",
+    [
+        (f"net cpu2usb toggles={_HUGE_INT} duration_ns=1000\n",
+         "activity line 1: toggles must fit a float"),
+        (f"net cpu2usb toggles={10**308} duration_ns=1000\n"
+         f"# again\nnet cpu2usb toggles={10**308} duration_ns=1\n",
+         "activity line 3: toggles of net 'cpu2usb' add up to more than a float holds"),
+    ],
+    ids=["one-line", "repeated-lines"],
+)
+def test_a_toggle_count_past_the_float_range_fails_at_its_line(workspace, capsys, activity, message):
+    (workspace["dir"] / "soc.act").write_text(activity)
+    argv = ["power", "--netlist", workspace["netlist"], "--intent", workspace["intent"],
+            "--activity", workspace["activity"], "--fclk-mhz", "150"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"pwr: error: {message}\n")
+
+
+# numbers at the ends of the float range, an integer too long for a float
+# to hold exactly and one past the float range
+_EDGES = ("0", "5e-324", "1e-300", "1e308", "1.7e308", "123456789012345678901234567890", _HUGE_INT)
 # the ordinary value of each number the property varies, by the command that reads it
 _ORDINARY = {
     "design": {"vdd_cpu": "1.2", "vdd_mem": "0.8", "vdd_logic": "1.2", "cap_ff": "300", "gates": "21600"},
@@ -468,6 +518,15 @@ _ORDINARY = {
                  "baseline_area_um2": "1000", "freq_mhz": "250", "baseline_v": "1.2", "pin": "1.2"},
     "sleep-sim": {"at_1": "0.5", "at_2": "100", "at_3": "200", "t_iso_on": "20", "t_save": "20"},
 }
+# the numbers given as command-line options; every other one sits in an input file
+_OPTIONS = {"fclk_mhz", "k", "temp_c", "freq_mhz", "baseline_v", "pin"}
+# Exit-1 faults in a file that name their subject rather than a line: a
+# --config value checked by its model names its key, the script's order
+# check names the time, and a result that is not finite names its island.
+_SUBJECT_NAMED = re.compile(
+    r"pwr: error: ((i0_per_gate_25c|temp_doubling_c|manager_overhead_w|t_iso_on|t_save) must be"
+    r"|script times must be non-decreasing|island '\w+': [^\n]* not finite)"
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,7 +543,8 @@ def test_numeric_edges_end_in_a_finite_answer_or_one_error_line(tmp_path_factory
     command = data.draw(st.sampled_from(("power", "optimize", "sleep-sim")))
     fmt = data.draw(st.sampled_from(("text", "json", "csv")))
     v = _ORDINARY[command] | (_ORDINARY["design"] if command != "sleep-sim" else {})
-    v |= data.draw(st.dictionaries(st.sampled_from(sorted(v)), st.sampled_from(_EDGES), max_size=3))
+    edges = data.draw(st.dictionaries(st.sampled_from(sorted(v)), st.sampled_from(_EDGES), max_size=3))
+    v |= edges
     if command == "sleep-sim":
         script = f"at {v['at_1']} write_sleep\nat {v['at_2']} write_sleep\nat {v['at_3']} read_status\n"
         argv = ["sleep-sim", "--script", put("sim.script", script),
@@ -515,6 +575,8 @@ def test_numeric_edges_end_in_a_finite_answer_or_one_error_line(tmp_path_factory
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert re.fullmatch(r"pwr: error: [^\n]+\n", err.getvalue())
+        if edges and not edges.keys() & _OPTIONS and not _SUBJECT_NAMED.match(err.getvalue()):
+            assert re.search(r" line \d+: ", err.getvalue()), (edges, err.getvalue())
     elif code == 0 and command != "sleep-sim" and fmt == "json":
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     elif code == 0 and command != "sleep-sim" and fmt == "csv":
