@@ -7,10 +7,12 @@ Exit codes: 0 success, 1 usage or input errors, 2 check violations,
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
-from pathlib import Path
+from typing import Iterator, TextIO
 
 from .crossings import fix_design, verify_power_intent
 from .netlist import ParseError, _attrs, _flag, _float, _netlist_lines, _token_lines
@@ -60,11 +62,30 @@ def _pin(text: str) -> tuple[str, float]:
     return name, _finite_float(value)
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+@contextmanager
+def _read(path: str) -> Iterator[TextIO]:
+    """The UTF-8 text file at ``path``, open for a reader to stream.  A file
+    that cannot seek (a pipe) is read whole first, as ``parse_design`` reads
+    a file again from its start to name a fault's line.  A byte that is not
+    UTF-8 fails with the decoder's error at its offset in the file."""
+    with open(path, encoding="utf-8") as file:
+        try:
+            yield file if file.seekable() else io.StringIO(file.read())
+        except UnicodeDecodeError as error:
+            # The error counts its byte from the block read: decode the file
+            # whole for its offset in the file, unless an inner ``_read``
+            # already has (its file is the one that failed).
+            if file.seekable() and not getattr(error, "whole_file", False):
+                file.seek(0)
+                try:
+                    file.buffer.read().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    whole.whole_file = True
+                    raise
+            raise
 
 
-def parse_config(text: str) -> dict[str, float | bool]:
+def parse_config(text: str | TextIO) -> dict[str, float | bool]:
     """key=value overrides for LeakageModel / PimConfig defaults, each key
     given once, in the shared token grammar of the other input formats."""
     out: dict[str, float | bool] = {}
@@ -79,7 +100,10 @@ def parse_config(text: str) -> dict[str, float | bool]:
 def _configured(path: str | None) -> tuple[LeakageModel, PimConfig]:
     """The ``LeakageModel`` and the ``PimConfig`` of the ``--config`` file,
     both built and so both checked whichever command reads the file."""
-    config = parse_config(_read(path)) if path else {}
+    config: dict[str, float | bool] = {}
+    if path:
+        with _read(path) as file:
+            config = parse_config(file)
     leakage = {f.name for f in fields(LeakageModel)}
     return (
         LeakageModel(**{k: v for k, v in config.items() if k in leakage}),
@@ -88,7 +112,8 @@ def _configured(path: str | None) -> tuple[LeakageModel, PimConfig]:
 
 
 def _load_design(args: argparse.Namespace):
-    return parse_design(_read(args.netlist), _read(args.intent))
+    with _read(args.netlist) as netlist, _read(args.intent) as intent:
+        return parse_design(netlist, intent)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -107,7 +132,8 @@ def _cmd_fix(args: argparse.Namespace) -> int:
 
 def _cmd_power(args: argparse.Namespace) -> int:
     design = _load_design(args)
-    activity = parse_activity(_read(args.activity), args.fclk_mhz, design=design)
+    with _read(args.activity) as file:
+        activity = parse_activity(file, args.fclk_mhz, design=design)
     params = DynamicPowerParams(f_clk_mhz=args.fclk_mhz, k=args.k)
     model, _ = _configured(args.config)
     result = power_report(
@@ -120,7 +146,8 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     design = _load_design(args)
-    table = parse_characterization(_read(args.char))
+    with _read(args.char) as file:
+        table = parse_characterization(file)
     pinned: dict[str, float] = {}
     for name, vdd in args.pin:
         if name in pinned:
@@ -141,7 +168,9 @@ def _cmd_sleep_sim(args: argparse.Namespace) -> int:
     times: list[float] = []
     changes: list[str] = []
     # a bad script fails before the first block; the VCD needs the whole run first
-    sys.stdout.writelines(_trace_blocks(config, parse_script(_read(args.script)), times, changes))
+    with _read(args.script) as file:
+        script = parse_script(file)
+    sys.stdout.writelines(_trace_blocks(config, script, times, changes))
     if args.vcd:
         with open(args.vcd, "w", encoding="utf-8") as out:
             out.writelines(_blocks(_vcd_lines(times, changes)))

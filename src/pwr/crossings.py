@@ -101,23 +101,25 @@ def _crossings(design: Design) -> Iterator[tuple[str, str, str, IssueKind, float
                 yield net, driver_name, receiver_name, IssueKind.NEEDS_ISOLATION, swing_v, receiver_v
 
 
-def _unique(name: str, added: Container[str], taken: Container[str], also_taken: Container[str] = ()) -> str:
+def _unique(name: str, taken: Container[str], also_taken: Container[str] = (), added: Container[str] = ()) -> str:
     """``name``, or the first ``name_<n>`` for n = 1, 2, ... that is in none
-    of ``added``, ``taken`` and ``also_taken``."""
+    of ``taken``, ``also_taken`` and ``added``."""
     unique, n = name, 0
-    while unique in added or unique in taken or unique in also_taken:
+    while unique in taken or unique in also_taken or unique in added:
         n += 1
         unique = f"{name}_{n}"
     return unique
 
 
 # The fixes of one chain, in splice order: the bit that marks the fix in a
-# chain's set, its issue kind, its cell name prefix and its cell kind.
+# chain's bits, its issue kind, its cell name prefix and its cell kind.
 _FIXES = (
     (1, IssueKind.NEEDS_LEVEL_SHIFTER, "ls", CellKind.LEVEL_SHIFTER),
     (2, IssueKind.NEEDS_ISOLATION, "iso", CellKind.ISO),
 )
 _FIX_BIT = {kind: bit for bit, kind, _, _ in _FIXES}
+# how every name the fixer generates begins
+_FIX_PREFIXES = tuple(f"{prefix}_" for _, _, prefix, _ in _FIXES)
 
 
 def apply_power_fixes(design: Design) -> Design:
@@ -130,31 +132,36 @@ def apply_power_fixes(design: Design) -> Design:
     taken).  Adds one cell per distinct (net, receiving island, kind) and
     leaves everything else untouched; re-analysis of the result is clean.
     """
-    # one fix chain per (net, receiving island): the bits of its fixes
-    groups: dict[tuple[str, str], int] = {}
-    # per net, the bits of the fixes any of its chains needs, and shifted up
-    # by two, those that more than one of its chains needs
-    net_fixes: dict[str, int] = {}
+    # One fix chain per (net, receiving island): its bits sit at the
+    # island's lane, two bits per island, in one int per net.  The chains
+    # are spliced in the order of their first issues.
+    lane = {island.name: 2 * at for at, island in enumerate(design.islands)}
+    fixes_of: dict[str, int] = {}
+    chain_nets: list[str] = []
+    chain_receivers: list[str] = []
     for net_name, _, receiver, kind, _, _ in _crossings(design):
-        key = (net_name, receiver)
-        fixes, bit = groups.get(key, 0), _FIX_BIT[kind]
+        fixes, bit = fixes_of.get(net_name, 0), _FIX_BIT[kind] << lane[receiver]
         if not fixes & bit:
-            groups[key] = fixes | bit
-            seen = net_fixes.get(net_name, 0)
-            net_fixes[net_name] = seen | (bit << 2 if seen & bit else bit)
-    if not groups:
+            if not fixes >> lane[receiver] & 3:
+                chain_nets.append(net_name)
+                chain_receivers.append(receiver)
+            fixes_of[net_name] = fixes | bit
+    if not fixes_of:
         return design
+    # each fix's bit in every lane, to count the chains of a net that need it
+    every_lane = {bit: sum(bit << at for at in lane.values()) for bit, _, _, _ in _FIXES}
     cells = design.cells_by_name()
     ports = design.ports_by_name()
-    nets_by_name = design.nets_by_name()
+    # the design's nets that a generated net name could clash with
+    fix_nets = {net.name for net in design.nets if net.name.startswith(_FIX_PREFIXES)}
 
-    # the records this call adds, by name; cells and ports share a namespace
-    new_cells: dict[str, CellInstance] = {}
-    new_nets: dict[str, Net] = {}
-    patched: dict[str, Net] = {}
-
-    for (net_name, receiver), fixes in groups.items():
-        net = patched.get(net_name, nets_by_name[net_name])
+    # the cell names this call adds; cells and ports share a namespace
+    added: set[str] = set()
+    new_cells: list[CellInstance] = []
+    new_nets: list[Net] = []
+    patched = {net.name: net for net in design.nets if net.name in fixes_of}
+    for net_name, receiver in zip(chain_nets, chain_receivers):
+        net = patched[net_name]
         # every crossing's receiver is a direct cell load of its net
         receiver_loads: list[tuple[str, str]] = []
         other_loads: list[tuple[str, str]] = []
@@ -162,26 +169,29 @@ def apply_power_fixes(design: Design) -> Design:
             cell = cells.get(ep[0])
             (receiver_loads if cell is not None and cell.island == receiver else other_loads).append(ep)
 
+        fixes = fixes_of[net_name]
         chain: list[str] = []
         for bit, _, prefix, cell_kind in _FIXES:
-            if not fixes & bit:
+            if not fixes >> lane[receiver] & bit:
                 continue
             name = f"{prefix}_{net_name}"
-            if net_fixes[net_name] & bit << 2:
+            if (fixes & every_lane[bit]).bit_count() > 1:
                 name += f"_{receiver}"
-            name = _unique(name, new_cells, cells, ports)
-            new_cells[name] = _make_cell(name, cell_kind, receiver, 0.0, 1, False)
+            name = _unique(name, cells, ports, added)
+            added.add(name)
+            new_cells.append(_make_cell(name, cell_kind, receiver, 0.0, 1, False))
             chain.append(name)
 
         other_loads.append((chain[0], "a"))
         patched[net_name] = _make_net(net_name, net.raw_driver, tuple(other_loads))
         for i, fix_name in enumerate(chain):
             loads = ((chain[i + 1], "a"),) if i + 1 < len(chain) else tuple(receiver_loads)
-            out_name = _unique(f"{fix_name}_out", new_nets, nets_by_name)
-            new_nets[out_name] = _make_net(out_name, (fix_name, "z"), loads)
+            # ``<fix>_out`` or ``<fix>_out_<n>``: distinct for distinct fix cells
+            out_name = _unique(f"{fix_name}_out", fix_nets)
+            new_nets.append(_make_net(out_name, (fix_name, "z"), loads))
 
-    nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(new_nets.values())
-    return replace(design, cells=design.cells + tuple(new_cells.values()), nets=nets)
+    nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(new_nets)
+    return replace(design, cells=design.cells + tuple(new_cells), nets=nets)
 
 
 def insert_sleep_pins(design: Design) -> Design:
@@ -222,7 +232,7 @@ def insert_sleep_pins(design: Design) -> Design:
         else:
             port = ports_by_name.get(net_name)
             if port is None or port.direction != "in":
-                name = _unique(net_name, added, design.cells_by_name(), ports_by_name)
+                name = _unique(net_name, design.cells_by_name(), ports_by_name, added)
                 added.add(name)
                 port = Port(name, "in", design.islands_by_name()[island].vdd)
                 ports.append(port)

@@ -2,9 +2,10 @@
 
 All input formats are line based UTF-8: ``#`` starts a comment, tokens are
 whitespace separated, and attributes are ``key=value`` pairs.  Every reader
-takes its lines from the one tokenizer, ``_token_lines``, which splits the
-text exactly as ``str.splitlines`` does but one block at a time (``_lines``),
-so a reader never holds a list of all the lines of its text.  One checked
+takes a str or an open text file, and its lines from the one tokenizer,
+``_token_lines``, which splits the text exactly as ``str.splitlines`` does
+but one block at a time (``_lines``), so a reader never holds a list of all
+the lines of its text, nor a file's whole text.  One checked
 reader, ``_statements``, turns each ``<directive> <name> key=value ...`` line
 into its name and attributes through ``_attrs``, given the directive's
 required and optional keys:
@@ -76,10 +77,10 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 __all__ = [
     "ParseError",
@@ -284,16 +285,18 @@ class Topology:
         return next((c for c in self._cells if c.kind is CellKind.PIM), None)
 
     @cached_property
-    def dynamic_terms(self) -> Mapping[str, tuple[tuple[float, str], ...]]:
-        """``(cap_ff, net)`` of every cell-driven net, grouped by the driver's
-        island and in net order within each island."""
+    def dynamic_terms(self) -> Mapping[str, tuple[tuple[float, ...], tuple[str, ...]]]:
+        """The driving cell's ``cap_ff`` and the name of every cell-driven
+        net, as two parallel tuples per driving island, in net order."""
         cells = self._cell_map
-        out: dict[str, list[tuple[float, str]]] = {}
+        out: dict[str, tuple[list[float], list[str]]] = {}
         for net in self._nets:
             driver = cells.get(net.raw_driver[0])
             if driver is not None:
-                out.setdefault(driver.island, []).append((driver.cap_ff, net.name))
-        return MappingProxyType({island: tuple(terms) for island, terms in out.items()})
+                caps, nets = out.get(driver.island) or out.setdefault(driver.island, ([], []))
+                caps.append(driver.cap_ff)
+                nets.append(net.name)
+        return MappingProxyType({island: (tuple(caps), tuple(nets)) for island, (caps, nets) in out.items()})
 
     @cached_property
     def crossing_walks(self) -> tuple[CrossingWalk, ...]:
@@ -313,17 +316,24 @@ class Topology:
         island add theirs to its entry.
         """
         cells = self._cell_map
-        # the walk only continues through fix cells, so only their nets matter
-        relayed: dict[str, list[Net]] = {}
         starts: list[Net] = []
         relays: list[Net] = []
         for net in self._nets:
             driver = cells.get(net.raw_driver[0])
             if driver is not None and driver.kind in FIX_KINDS:
-                relayed.setdefault(driver.name, []).append(net)
                 relays.append(net)
             elif driver is not None:
                 starts.append(net)
+        # The walk only continues through fix cells, so only their nets
+        # matter: each fix cell's first net, and a chain from each net to
+        # the next of its fix cell, for the rare cell that drives several.
+        relayed: dict[str, Net] = {}
+        next_relay: dict[str, Net] = {}
+        for net in reversed(relays):
+            cell = net.raw_driver[0]
+            if cell in relayed:
+                next_relay[net.name] = relayed[cell]
+            relayed[cell] = net
 
         def relay_starts() -> Iterator[Net]:
             # A walk that reaches a fix-driven net reaches every net of each
@@ -338,12 +348,13 @@ class Topology:
         shared: dict[tuple, tuple] = {}
         walks: list[CrossingWalk] = []
         reached: set[str] = set()
-        # where each fix-driven net was filed, per walk driver island
-        filed: dict[tuple[str, str], int] = {}
+        # where each fix-driven net was filed, by walk driver island
+        filed: dict[str, dict[str, int]] = {}
         for net in chain(starts, relay_starts()):
             if net.name in reached:
                 continue
             home = cells[net.raw_driver[0]].island
+            filed_here = filed.get(home) or filed.setdefault(home, {})
             frontier = [(net, home, False)]
             visited = {net.name}
             for current, swing, isolated in frontier:  # grows while iterated: BFS order
@@ -355,11 +366,13 @@ class Topology:
                     if load.kind in FIX_KINDS:
                         next_swing = load.island if load.kind is CellKind.LEVEL_SHIFTER else swing
                         next_iso = isolated or (load.kind is CellKind.ISO and load.island != home)
-                        for onward in relayed.get(load.name, ()):
+                        onward = relayed.get(load.name)
+                        while onward is not None:
                             if onward.name not in visited:
                                 visited.add(onward.name)
                                 reached.add(onward.name)
                                 frontier.append((onward, next_swing, next_iso))
+                            onward = next_relay.get(onward.name)
                     elif load.island != home:
                         terminal = (load.island, swing, isolated)
                         if terminal not in terminals:
@@ -368,7 +381,7 @@ class Topology:
                     continue
                 at = len(walks)
                 if current.raw_driver[0] in relayed:  # another walk may have filed it
-                    at = filed.setdefault((current.name, home), at)
+                    at = filed_here.setdefault(current.name, at)
                     if at < len(walks):  # merge, keeping the earlier walk's terminals first
                         terminals = [*walks[at][2], *(t for t in terminals if t not in walks[at][2])]
                 found = tuple(terminals)
@@ -495,28 +508,39 @@ class CharTable:
 _Grammar = Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]]
 
 
-# Characters per block of ``_lines``; a block runs on to the next ``\n``.
+# Characters read per block by ``_lines``.
 _BLOCK = 1 << 16
 
 
-def _lines(text: str) -> Iterator[str]:
-    r"""The lines of ``text``, exactly those of ``text.splitlines()``, split
-    one block at a time so that no list of every line is held.
+def _lines(source: str | TextIO) -> Iterator[str]:
+    r"""The lines of ``source``, a str or an open text file read from where
+    it stands, exactly those of ``str.splitlines()`` over its text, split one
+    block at a time so that no list of every line is held.
 
-    Each block ends just after a ``\n``, and no line break ``str.splitlines``
-    knows runs past one (``\r\n`` ends at its ``\n``), so no break is cut.
+    Each block of ``_BLOCK`` characters is cut just after its last ``\n``
+    and the rest carried into the next, so a line may span blocks but no
+    line break ``str.splitlines`` knows is cut (``\r\n`` ends at its
+    ``\n``).
     """
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _BLOCK) + 1 or size
-        yield from text[start:end].splitlines()
-        start = end
+    if isinstance(source, str):
+        blocks: Iterable[str] = (source[at:at + _BLOCK] for at in range(0, len(source), _BLOCK))
+    else:
+        blocks = iter(partial(source.read, _BLOCK), "")
+    carry = ""
+    for block in blocks:
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield from (carry + block[:cut]).splitlines()
+            carry = block[cut:]
+        else:
+            carry += block
+    yield from carry.splitlines()
 
 
-def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    """``(line_no, tokens)`` of every line that has a token: the text before
-    any ``#``, split at whitespace."""
-    for line_no, raw in enumerate(_lines(text), start=1):
+def _token_lines(source: str | TextIO) -> Iterator[tuple[int, list[str]]]:
+    """``(line_no, tokens)`` of every line of ``source`` (see ``_lines``) that
+    has a token: the text before any ``#``, split at whitespace."""
+    for line_no, raw in enumerate(_lines(source), start=1):
         tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
         if tokens:
             yield line_no, tokens
@@ -596,12 +620,18 @@ _NETLIST_GRAMMAR = {
 }
 
 
-def parse_design(netlist_text: str, intent_text: str) -> Design:
-    """Parse a netlist plus power-intent pair into a validated Design.
+def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Design:
+    """Parse a netlist plus power-intent pair, each a str or an open text
+    file, into a validated Design.  A file is read once from where it
+    stands, and read again from there (so it must be seekable) only to find
+    a fault's line; line numbers count from there.
 
     Raises ParseError on bad syntax, or at the line of the first invariant
     ``validate_design`` would report (intent before netlist, then by line).
     """
+    texts = (intent_text, netlist_text)
+    # where each file stands, to read it again from there for a fault's line
+    starts = [0 if isinstance(text, str) or not text.seekable() else text.tell() for text in texts]
     islands: list[Island] = []
     for line_no, _, name, attrs in _statements("intent", _token_lines(intent_text), _INTENT_GRAMMAR):
         islands.append(Island(
@@ -621,10 +651,11 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
     label_of = {island.name: island.name for island in islands}.setdefault
     kinds = _KIND_BY_VALUE
     isfinite = math.isfinite
-    try:
+    for line_no, tokens in _token_lines(netlist_text):
         # Every cell and net check below raises ValueError, and only on a line
         # the checked reader rejects too; ``_netlist_fault`` then names the fault.
-        for line_no, tokens in _token_lines(netlist_text):
+        # Reading (a file that is not UTF-8) raises outside the ``try``.
+        try:
             directive, name, *attrs = tokens
             if "=" in name:
                 raise ValueError
@@ -685,14 +716,14 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
                 ports.append(Port(name_of(name, name), port["dir"], _float("netlist", line_no, "vdd", port["vdd"])))
             else:
                 raise ValueError
-    except ValueError:
-        raise _netlist_fault(line_no, tokens) from None
+        except ValueError:
+            raise _netlist_fault(line_no, tokens) from None
     del name_of, label_of  # the tables are not needed past the line loop
 
     design = Design(tuple(islands), tuple(cells), tuple(nets), tuple(ports))
     faults = list(_design_faults(design))
     if faults:
-        lines = _statement_lines(intent_text, netlist_text)
+        lines = _statement_lines(texts, starts)
         fault = min(faults, key=lambda f: (f[0] != "island", lines[f[0]][f[1]]))
         category, index, _ = fault
         source = "intent" if category == "island" else "netlist"
@@ -700,12 +731,15 @@ def parse_design(netlist_text: str, intent_text: str) -> Design:
     return design
 
 
-def _statement_lines(intent_text: str, netlist_text: str) -> dict[str, list[int]]:
+def _statement_lines(texts: Iterable[str | TextIO], starts: Iterable[int]) -> dict[str, list[int]]:
     """The line number of every statement, by directive and in file order,
-    of texts ``parse_design`` has read: the index of a fault in a category
-    (``_design_faults``) is an index into its list."""
+    of texts ``parse_design`` has read, each file read again from its place
+    in ``starts``: the index of a fault in a category (``_design_faults``)
+    is an index into its list."""
     lines: dict[str, list[int]] = {"island": [], "cell": [], "net": [], "port": []}
-    for text in (intent_text, netlist_text):
+    for text, start in zip(texts, starts):
+        if not isinstance(text, str):
+            text.seek(start)
         for line_no, tokens in _token_lines(text):
             lines[tokens[0]].append(line_no)
     return lines
@@ -856,7 +890,7 @@ def _netlist_lines(design: Design) -> Iterator[str]:
 _ACTIVITY_GRAMMAR = {"net": (("toggles", "duration_ns"), ())}
 
 
-def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None = None) -> dict[str, float]:
+def parse_activity(activity_text: str | TextIO, f_clk_mhz: float, design: Design | None = None) -> dict[str, float]:
     """Turn toggle counts into switching activity: toggles per clock cycle of
     ``f_clk_mhz``, by net name (with ``design``, by the design's own
     ``Net.name`` strings).
@@ -902,8 +936,12 @@ def parse_activity(activity_text: str, f_clk_mhz: float, design: Design | None =
         toggles[name] = count
         durations[name] = durations.get(name, 0.0) + duration
 
-    # cycles that underflow to 0.0 are fewer than 5e-324: one toggle over them exceeds SA_MAX
-    return {name: min(toggles[name] / (durations[name] * f_clk_mhz * 1e-3 or 5e-324), SA_MAX) for name in toggles}
+    # Each net's activity replaces its duration, in the same order, so no
+    # third table is built.  Cycles that underflow to 0.0 are fewer than
+    # 5e-324: one toggle over them exceeds SA_MAX.
+    for name, count in toggles.items():
+        durations[name] = min(count / (durations[name] * f_clk_mhz * 1e-3 or 5e-324), SA_MAX)
+    return durations
 
 
 def _activity_fault(line_no: int, tokens: list[str], known: Mapping[str, Net] | None) -> ParseError:
@@ -926,7 +964,7 @@ def _activity_fault(line_no: int, tokens: list[str], known: Mapping[str, Net] | 
     raise AssertionError(f"activity line {line_no}: the checked reader accepts what parse_activity rejected")
 
 
-def parse_characterization(char_text: str) -> CharTable:
+def parse_characterization(char_text: str | TextIO) -> CharTable:
     """Parse measured operating points (``op``) and silicon calibration
     factors (``calib``) in one pass."""
     rows: list[CharRow] = []

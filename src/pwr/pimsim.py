@@ -31,6 +31,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice
+from typing import TextIO
 
 from .netlist import ParseError, _float, _token_lines
 
@@ -293,8 +294,9 @@ def pim_run_script(config: PimConfig | None, script: tuple[ScriptCommand, ...] |
 _OPS = {op: op for op in ("write_sleep", "read_status")}
 
 
-def parse_script(text: str) -> tuple[ScriptCommand, ...]:
-    """Parse ``at <ns> write_sleep [0|1]`` / ``at <ns> read_status`` lines."""
+def parse_script(text: str | TextIO) -> tuple[ScriptCommand, ...]:
+    """Parse ``at <ns> write_sleep [0|1]`` / ``at <ns> read_status`` lines
+    from a str or an open text file."""
     commands: list[ScriptCommand] = []
     for line_no, tokens in _token_lines(text):
         if tokens[0] != "at" or len(tokens) < 3:

@@ -20,7 +20,6 @@ table of the same shape (``parse_characterization(text).calibration``).
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -148,6 +147,8 @@ def fit_subthreshold_slope(points: Sequence[tuple[float, float]]) -> float:
     for v, current in pts:
         if current <= 0:
             raise ValueError(f"currents must be positive, got {current}")
+    import statistics  # here, so that no command that never fits pays for the import
+
     fit = statistics.linear_regression([v for v, _ in pts], [math.log10(i) for _, i in pts])
     if fit.slope <= 0:
         raise ValueError("degenerate points: current must fall as the bias goes negative")
@@ -258,10 +259,10 @@ def dynamic_power(design: Design, activity: Mapping[str, float], params: Dynamic
     vdd_by_island = {island.name: island.vdd for island in design.islands}
     per_island = dict.fromkeys(vdd_by_island, 0.0)
     k, f_clk_mhz, sa = params.k, params.f_clk_mhz, activity.get
-    for island, terms in design.topology.dynamic_terms.items():
+    for island, (caps, nets) in design.topology.dynamic_terms.items():
         vdd = vdd_by_island[island]
         total = 0.0
-        for cap_ff, net in terms:
+        for cap_ff, net in zip(caps, nets):
             total += k * cap_ff * 1e-15 * vdd * vdd * f_clk_mhz * 1e6 * sa(net, 0.0)
         if not math.isfinite(total):
             raise ValueError(f"island '{island}': dynamic power is not finite at {f_clk_mhz} MHz")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from pwr.crossings import CrossingIssue, IssueKind
@@ -232,6 +233,105 @@ def reference_crossings(design: Design) -> list[CrossingIssue]:
                     splice, driver.island, receiver.name, IssueKind.NEEDS_ISOLATION, eff_vdd, receiver.vdd,
                 ))
     return [issue for group in groups.values() for issue in group.values()]
+
+
+def reference_apply_power_fixes(design: Design) -> Design:
+    """The fixer as one pass over ``reference_crossings`` that chooses each
+    generated name against the design's names and every name it added
+    before: the oracle for the cells, nets, names and order that
+    ``apply_power_fixes`` adds."""
+    chains: dict[tuple[str, str], list[IssueKind]] = {}
+    for issue in reference_crossings(design):
+        kinds = chains.setdefault((issue.net, issue.receiver_island), [])
+        if issue.kind not in kinds:
+            kinds.append(issue.kind)
+    # how many chains of each net need each fix
+    needed = Counter((net, kind) for (net, _), kinds in chains.items() for kind in kinds)
+    cells = {c.name: c for c in design.cells}
+    cell_names = set(cells) | {p.name for p in design.ports}  # one endpoint namespace
+    net_names = {n.name for n in design.nets}
+    nets = {n.name: n for n in design.nets}  # patched in place, so in net order
+    new_cells: list[CellInstance] = []
+    new_nets: list[Net] = []
+
+    def unique(name: str, taken: set[str]) -> str:
+        candidate, n = name, 0
+        while candidate in taken:
+            n += 1
+            candidate = f"{name}_{n}"
+        taken.add(candidate)
+        return candidate
+
+    for (net_name, receiver), kinds in chains.items():
+        net = nets[net_name]
+        moved: list[Endpoint] = []
+        kept: list[Endpoint] = []
+        for ep in net.loads:
+            load = cells.get(ep.cell)
+            (moved if load is not None and load.island == receiver else kept).append(ep)
+        chain: list[str] = []
+        for kind, prefix, cell_kind in (
+            (IssueKind.NEEDS_LEVEL_SHIFTER, "ls", CellKind.LEVEL_SHIFTER),
+            (IssueKind.NEEDS_ISOLATION, "iso", CellKind.ISO),
+        ):
+            if kind in kinds:
+                name = f"{prefix}_{net_name}" + (f"_{receiver}" if needed[net_name, kind] > 1 else "")
+                chain.append(unique(name, cell_names))
+                new_cells.append(CellInstance(chain[-1], cell_kind, receiver))
+        nets[net_name] = Net(net_name, net.driver, (*kept, Endpoint(chain[0], "a")))
+        for i, fix in enumerate(chain):
+            loads = (Endpoint(chain[i + 1], "a"),) if i + 1 < len(chain) else tuple(moved)
+            new_nets.append(Net(unique(f"{fix}_out", net_names), Endpoint(fix, "z"), loads))
+    return Design(design.islands, design.cells + tuple(new_cells), tuple(nets.values()) + tuple(new_nets), design.ports)
+
+
+def clashing_names_design(rng: random.Random) -> Design:
+    """A small design whose net and cell names make the fixer's generated
+    names collide: net ``a`` shifted toward islands ``b`` and ``c`` gets
+    ``ls_a_b``, the plain name of net ``a_b``'s shifter, and a cell may
+    already hold a name such as ``ls_a``."""
+    islands = (
+        Island("x", 0.8, switchable=rng.random() < 0.5),
+        Island("b", 1.2),
+        Island("c", 1.2, switchable=rng.random() < 0.5),
+    )
+    cells = [CellInstance(f"d{i}", CellKind.STD, "x") for i in range(3)]
+    cells += [CellInstance(f"r{i}", CellKind.STD, rng.choice("bcx")) for i in range(4)]
+    for name in rng.sample(("ls_a", "ls_a_b", "iso_a_c", "ls_a_b_1", "iso_a"), rng.randint(0, 2)):
+        cells.append(CellInstance(name, CellKind.STD, rng.choice("bcx")))
+    names = rng.sample(("a", "a_b", "a_c", "a_1", "a_b_1", "a_x", "b", "ls_a_out"), rng.randint(2, 6))
+    nets = tuple(
+        Net(
+            name,
+            Endpoint(rng.choice(cells).name, "z"),
+            tuple(Endpoint(rng.choice(cells).name, f"a{j}") for j in range(rng.randint(1, 3))),
+        )
+        for name in names
+    )
+    return Design(islands, tuple(cells), nets, ())
+
+
+def soc_texts(rng: random.Random, cells: int, islands: int = 8, windows: int = 1) -> tuple[str, str, str]:
+    """Netlist, intent and activity texts of a flat SoC: ``cells`` std cells
+    spread over ``islands`` islands at three supplies (odd ones switchable),
+    a manager cell, one net per cell with one to three random loads, and
+    ``windows`` observation windows of toggles per net."""
+    intent = "".join(
+        f"island isl{i} vdd={VOLTAGES[i % len(VOLTAGES)]} switchable={i % 2}\n" for i in range(islands)
+    )
+    lines = [
+        f"cell c{i} kind=std island=isl{rng.randrange(islands)} cap_ff={rng.uniform(1.0, 50.0):.2f}"
+        f" gates={rng.randint(1, 64)}\n"
+        for i in range(cells)
+    ]
+    lines.append("cell pim0 kind=pim island=isl0 cap_ff=5.00 gates=200\n")
+    for i in range(cells):
+        loads = ",".join(f"c{rng.randrange(cells)}.a{j}" for j in range(rng.randint(1, 3)))
+        lines.append(f"net n{i} driver=c{rng.randrange(cells)}.z loads={loads}\n")
+    activity = "".join(
+        f"net n{i} toggles={rng.randint(0, 300)} duration_ns=1000.0\n" for _ in range(windows) for i in range(cells)
+    )
+    return "".join(lines), intent, activity
 
 
 def reference_dynamic_w(design: Design, activity: dict[str, float], params: DynamicPowerParams) -> list[float]:

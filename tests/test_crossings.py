@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
-from helpers import random_design, random_fixed_design
+from helpers import clashing_names_design, random_design, random_fixed_design, reference_apply_power_fixes
 from pwr.crossings import (
     IssueKind,
     analyze_crossings,
@@ -227,6 +227,42 @@ def test_generated_names_step_past_user_names(extra, cell, net):
     assert verify_power_intent(fixed) == []
     assert validate_design(fixed) == []
     assert _fix(fixed) == fixed
+
+
+_CLASH_NETS = {"a": "net a driver=d0.z loads=rb.a,rc.a\n", "a_b": "net a_b driver=d1.z loads=rb2.a\n"}
+
+
+@pytest.mark.parametrize(
+    "order, names",
+    [
+        (("a", "a_b"), ["ls_a_b", "ls_a_c", "ls_a_b_1"]),
+        (("a_b", "a"), ["ls_a_b", "ls_a_b_1", "ls_a_c"]),
+    ],
+    ids=["suffixed-first", "plain-first"],
+)
+def test_a_generated_name_steps_past_one_generated_before_it(order, names):
+    # net a shifts toward b and c (ls_a_b, ls_a_c); net a_b's own shifter is ls_a_b
+    design = parse_design(
+        "cell d0 kind=std island=x\ncell d1 kind=std island=x\ncell rb kind=std island=b\n"
+        "cell rc kind=std island=c\ncell rb2 kind=std island=b\n" + "".join(_CLASH_NETS[n] for n in order),
+        "island x vdd=0.8\nisland b vdd=1.2\nisland c vdd=1.2\n",
+    )
+    fixed = apply_power_fixes(design)
+    assert [c.name for c in fixed.cells[len(design.cells):]] == names
+    assert [n.name for n in fixed.nets[len(design.nets):]] == [f"{name}_out" for name in names]
+    assert fixed == reference_apply_power_fixes(design)
+    assert validate_design(fixed) == [] and analyze_crossings(fixed) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_fixer_adds_what_the_one_pass_oracle_adds(seed, clashing):
+    """Chains kept as lane bits per net, and ``_out`` names checked against
+    the design's ``ls_``/``iso_`` nets alone, give what a plain pass over
+    the reference walk gives, that checks each name against every net."""
+    rng = random.Random(seed)
+    design = clashing_names_design(rng) if clashing else insert_sleep_pins(random_fixed_design(rng))
+    assert apply_power_fixes(design) == reference_apply_power_fixes(design)
 
 
 def test_second_pin_pass_leaves_a_shifted_sleep_net_alone(gated_soc):

@@ -1,4 +1,7 @@
+import contextlib
 import gc
+import io
+import itertools
 import math
 import pickle
 import random
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
 from helpers import random_design, random_fixed_design, reference_parse_activity, reference_parse_design
 from pwr import netlist
-from pwr.cli import parse_config
+from pwr.cli import _read, parse_config
 from pwr.crossings import apply_power_fixes, insert_sleep_pins
 from pwr.netlist import (
     CellInstance,
@@ -34,6 +37,7 @@ from pwr.netlist import (
     serialize_design,
     validate_design,
 )
+from pwr.pimsim import parse_script
 
 
 def test_parse_three_island_soc(soc3):
@@ -683,6 +687,93 @@ def test_block_reader_splits_exactly_like_splitlines(text, block):
     with mock.patch.object(netlist, "_BLOCK", block):
         assert list(_lines(text)) == text.splitlines()
         assert list(_token_lines(text)) == reference
+        assert list(_lines(io.StringIO(text))) == text.splitlines()
+        assert list(_token_lines(io.StringIO(text))) == reference
+
+
+# Lines of each reader's format, valid and not, and the reader given a text
+# or a file: the netlist and intent readers with a fixed partner text, read
+# the same way, so that a design fault reads both files again.
+_NETLIST_PARTNER = "cell a kind=std island=x\ncell b kind=std island=y\nnet n driver=a.z loads=b.a\n"
+_INTENT_PARTNER = "island x vdd=1.0\nisland y vdd=1.2 switchable=1\n"
+_ACTIVITY_DESIGN = parse_design(_NETLIST_PARTNER, _INTENT_PARTNER)
+_READER_LINES = {
+    "netlist": (
+        "cell a kind=std island=x", "cell b kind=iso island=y cap_ff=2.5 gates=3", "cell a kind=std island=y",
+        "net n driver=a.z loads=b.a", "net m driver=b.z", "port p dir=in vdd=1.0", "cell c kind=bogus island=x",
+        "cell d kind=std island=nowhere", "net q driver=a.z loads=p.p",
+    ),
+    "intent": ("island x vdd=1.0", "island y vdd=1.2 switchable=1", "island x vdd=0.9", "island z vdd=nan"),
+    "activity": (
+        "net n toggles=3 duration_ns=10", "net n toggles=1 duration_ns=5", "net q toggles=1 duration_ns=1",
+        "net n toggles=x duration_ns=1",
+    ),
+    "characterization": (
+        "op cpu vdd=1.0 fmax_mhz=100 area_um2=1 cap_factor=1", "op cpu vdd=0.8 fmax_mhz=50 area_um2=2 cap_factor=1.1",
+        "calib nand2 temp=25 source=silicon factor=78.6", "op cpu vdd=0 fmax_mhz=1 area_um2=1 cap_factor=1",
+    ),
+    "script": ("at 0 write_sleep", "at 10 read_status", "at 5 write_sleep 1", "at -1 read_status", "at 1 nap"),
+    "config": ("t_save=10", "bias_v=-0.2", "t_iso_on=5 k=1", "i0_per_gate_25c=1e-6"),
+}
+_READERS = {
+    "netlist": lambda read, text: parse_design(read(text), read(_INTENT_PARTNER)),
+    "intent": lambda read, text: parse_design(read(_NETLIST_PARTNER), read(text)),
+    "activity": lambda read, text: parse_activity(read(text), 100.0, design=_ACTIVITY_DESIGN),
+    "characterization": lambda read, text: parse_characterization(read(text)),
+    "script": lambda read, text: parse_script(read(text)),
+    "config": lambda read, text: parse_config(read(text)),
+}
+# every line break str.splitlines knows; \r and \r\n reach a reader as \n
+# from a file the CLI opens
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _outcome(read):
+    try:
+        return "value", read()
+    except ParseError as error:
+        return "error", str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_each_reader_reads_an_open_file_as_its_text(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(_READERS)))
+    pieces = st.sampled_from(_READER_LINES[kind] + ("# note", "  ", ""))
+    lines = data.draw(st.lists(st.tuples(pieces, st.sampled_from(_BREAKS)), max_size=8))
+    text = "".join(line + brk for line, brk in lines) + data.draw(st.sampled_from(("", *_READER_LINES[kind])))
+    # blocks from one character, shorter than any line, to longer than the text
+    block = data.draw(st.integers(1, 80))
+    work = tmp_path_factory.mktemp("reader")
+    names = itertools.count()
+
+    def opened(body):
+        """``body`` in a file, opened as the CLI opens its inputs."""
+        path = work / f"input{next(names)}.txt"
+        path.write_bytes(body.encode("utf-8"))
+        return stack.enter_context(_read(str(path)))
+
+    with mock.patch.object(netlist, "_BLOCK", block):
+        expected = _outcome(lambda: _READERS[kind](lambda body: body, text))
+        assert _outcome(lambda: _READERS[kind](io.StringIO, text)) == expected
+        with contextlib.ExitStack() as stack:
+            assert _outcome(lambda: _READERS[kind](opened, text)) == expected
+
+
+def test_parse_design_counts_lines_from_where_each_file_stands():
+    """A file handed over past a header is read from there, and so is the
+    second read that finds a design fault's line."""
+    header = "HEADER v1\n"
+    faulty = _NETLIST_PARTNER + "cell a kind=std island=y\n"
+    with pytest.raises(ParseError) as from_text:
+        parse_design(faulty, _INTENT_PARTNER)
+    assert str(from_text.value) == "netlist line 4: cell a: duplicate name"
+    netlist_file, intent_file = io.StringIO(header + faulty), io.StringIO(header + _INTENT_PARTNER)
+    netlist_file.readline()
+    intent_file.readline()
+    with pytest.raises(ParseError) as from_file:
+        parse_design(netlist_file, intent_file)
+    assert str(from_file.value) == str(from_text.value)
 
 
 def test_block_reader_holds_a_block_not_the_text():

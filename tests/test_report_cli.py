@@ -4,8 +4,13 @@ import importlib
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +26,7 @@ from conftest import (
     THREE_ISLAND_INTENT,
     THREE_ISLAND_NETLIST,
 )
-from helpers import VOLTAGES, random_fixed_design
+from helpers import VOLTAGES, random_fixed_design, soc_texts
 from pwr.cli import parse_config, run_cli
 from pwr.crossings import analyze_crossings, apply_power_fixes, fix_design, insert_sleep_pins, verify_power_intent
 from pwr.netlist import (
@@ -540,9 +545,9 @@ def test_numeric_edges_end_in_a_finite_answer_or_one_error_line(tmp_path_factory
         (work / name).write_text(text)
         return str(work / name)
 
-    command = data.draw(st.sampled_from(("power", "optimize", "sleep-sim")))
+    command = data.draw(st.sampled_from(("check", "fix", "power", "optimize", "sleep-sim")))
     fmt = data.draw(st.sampled_from(("text", "json", "csv")))
-    v = _ORDINARY[command] | (_ORDINARY["design"] if command != "sleep-sim" else {})
+    v = _ORDINARY.get(command, {}) | (_ORDINARY["design"] if command != "sleep-sim" else {})
     edges = data.draw(st.dictionaries(st.sampled_from(sorted(v)), st.sampled_from(_EDGES), max_size=3))
     v |= edges
     if command == "sleep-sim":
@@ -554,7 +559,9 @@ def test_numeric_edges_end_in_a_finite_answer_or_one_error_line(tmp_path_factory
         netlist = GATED_NETLIST.replace("cap_ff=300.0 gates=21600", f"cap_ff={v['cap_ff']} gates={v['gates']}", 1)
         intent = (f"island cpu vdd={v['vdd_cpu']}\nisland mem vdd={v['vdd_mem']}\n"
                   f"island logic vdd={v['vdd_logic']} switchable=1\n")
-        argv = [command, "--netlist", put("soc.net", netlist), "--intent", put("soc.intent", intent), "--format", fmt]
+        argv = [command, "--netlist", put("soc.net", netlist), "--intent", put("soc.intent", intent)]
+        argv += ["--out", str(work / "fixed.net")] if command == "fix" else []
+        argv += ["--format", fmt] if command in ("power", "optimize") else []
     if command == "power":
         activity = f"net l2c toggles={v['toggles']} duration_ns={v['duration_ns']}\n"
         config = "".join(f"{key}={v[key]}\n" for key in ("i0_per_gate_25c", "temp_doubling_c", "manager_overhead_w"))
@@ -577,9 +584,9 @@ def test_numeric_edges_end_in_a_finite_answer_or_one_error_line(tmp_path_factory
         assert re.fullmatch(r"pwr: error: [^\n]+\n", err.getvalue())
         if edges and not edges.keys() & _OPTIONS and not _SUBJECT_NAMED.match(err.getvalue()):
             assert re.search(r" line \d+: ", err.getvalue()), (edges, err.getvalue())
-    elif code == 0 and command != "sleep-sim" and fmt == "json":
+    elif code == 0 and command in ("power", "optimize") and fmt == "json":
         json.loads(out.getvalue(), parse_constant=_reject_constant)
-    elif code == 0 and command != "sleep-sim" and fmt == "csv":
+    elif code == 0 and command in ("power", "optimize") and fmt == "csv":
         for row in csv.reader(io.StringIO(out.getvalue())):
             for cell in row:
                 with contextlib.suppress(ValueError):
@@ -618,6 +625,112 @@ def test_parse_error_exits_1(workspace, capsys):
     bad.write_text("cell a kind=std island=nowhere\n")
     assert run_cli(["check", "--netlist", str(bad), "--intent", workspace["intent"]]) == 1
     assert "unknown island" in capsys.readouterr().err
+
+
+# Each reader's file, as the command that reads it names it, and a line
+# that may repeat in that file.
+_READER_RUNS = {
+    "netlist": (["check", "--netlist", "{bad}", "--intent", "{intent}"], "cell pad{i} kind=std island=cpu\n"),
+    "intent": (["check", "--netlist", "{netlist}", "--intent", "{bad}"], "island pad{i} vdd=1.0\n"),
+    "activity": (
+        ["power", "--netlist", "{netlist}", "--intent", "{intent}", "--activity", "{bad}", "--fclk-mhz", "150"],
+        "net cpu2usb toggles=1 duration_ns=10\n",
+    ),
+    "char": (
+        ["optimize", "--netlist", "{netlist}", "--intent", "{intent}", "--char", "{bad}", "--freq-mhz", "150"],
+        "# op cpu vdd=1.2 fmax_mhz=155 area_um2=141429 cap_factor=1.0\n",
+    ),
+    "script": (["sleep-sim", "--script", "{bad}"], "at {i} read_status\n"),
+    "config": (["sleep-sim", "--script", "{script}", "--config", "{bad}"], "# t_save=20\n"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READER_RUNS))
+def test_a_file_that_stops_being_utf8_exits_1_with_one_error_line(workspace, capsys, reader):
+    """Line 15,001 is not UTF-8: the reader meets it blocks into the file,
+    after many lines it has already taken, and the error counts its byte
+    from the start of the file."""
+    argv, line = _READER_RUNS[reader]
+    good = "".join(line.format(i=i) for i in range(15_000)).encode("utf-8")
+    bad = workspace["dir"] / "bad.txt"
+    bad.write_bytes(good + b"\xff\n")
+    assert run_cli([arg.format(bad=bad, **workspace) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"pwr: error: 'utf-8' codec can't decode byte 0xff in position {len(good)}: invalid start byte\n",
+    )
+
+
+def test_a_bad_intent_beside_a_bad_netlist_names_the_intent_it_read_first(workspace, capsys):
+    """The intent is read first and fails; the netlist, never read past its
+    first block, is not decoded whole to report its own byte instead."""
+    bad_intent = workspace["dir"] / "bad.intent"
+    bad_intent.write_bytes(THREE_ISLAND_INTENT.encode("utf-8") + b"\xfe\n")
+    bad_netlist = workspace["dir"] / "bad.net"
+    bad_netlist.write_bytes(b"\xff\n" + THREE_ISLAND_NETLIST.encode("utf-8"))
+    assert run_cli(["check", "--netlist", str(bad_netlist), "--intent", str(bad_intent)]) == 1
+    offset = len(THREE_ISLAND_INTENT.encode("utf-8"))
+    assert capsys.readouterr().err == (
+        f"pwr: error: 'utf-8' codec can't decode byte 0xfe in position {offset}: invalid start byte\n"
+    )
+
+
+def _pwr_from_a_pipe(argv: list[str], stdin: str) -> subprocess.CompletedProcess:
+    """``python -m pwr.cli`` with ``stdin`` fed through a pipe."""
+    src = str(Path(pwr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "pwr.cli", *argv], input=stdin, capture_output=True,
+                          encoding="utf-8", env=env, timeout=60, check=False)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_netlist_piped_to_dev_stdin_reads_as_its_file(workspace, capsys):
+    argv = ["check", "--netlist", workspace["gated_netlist"], "--intent", workspace["gated_intent"]]
+    assert run_cli(argv) == 2
+    piped = _pwr_from_a_pipe(["check", "--netlist", "/dev/stdin", "--intent", workspace["gated_intent"]], GATED_NETLIST)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (2, capsys.readouterr().out, "")
+    # a duplicate cell is a design fault, whose line needs a second read of the text
+    faulty = GATED_NETLIST + "cell cpu0 kind=std island=cpu\n"
+    piped = _pwr_from_a_pipe(["check", "--netlist", "/dev/stdin", "--intent", workspace["gated_intent"]], faulty)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (1, "", "pwr: error: netlist line 15: cell cpu0: duplicate name\n")
+
+
+def _traced_peak(argv: list[str]) -> int:
+    """The ``tracemalloc`` peak of ``run_cli(argv)`` run in process."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) in (0, 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_check_holds_neither_its_input_text_nor_a_container_per_fix_cell(tmp_path):
+    """``check`` of a fixed 3,000-cell design (0.86 MB of netlist): holding
+    the text through the parse and a list per fix cell and a tuple per filed
+    net in the walk peaked at 5.5 MB; streaming the file and the leaner walk
+    peak at 4.7 MB."""
+    netlist_text, intent_text, _ = soc_texts(random.Random(1), 3000)
+    fixed, _ = fix_design(parse_design(netlist_text, intent_text))
+    (tmp_path / "fixed.net").write_text(serialize_design(fixed)[0])
+    (tmp_path / "soc.intent").write_text(intent_text)
+    del fixed
+    peak = _traced_peak(["check", "--netlist", str(tmp_path / "fixed.net"), "--intent", str(tmp_path / "soc.intent")])
+    assert peak <= 5.2e6, f"{peak / 1e6:.2f} MB"
+
+
+def test_power_holds_no_input_text(tmp_path):
+    """``power`` on a 3,000-cell design with eight activity windows per net
+    (0.97 MB of activity): holding each text through its parse and a third
+    activity table peaked at 3.3 to 3.5 MB; streaming the files peaks at
+    2.2 MB."""
+    netlist_text, intent_text, activity_text = soc_texts(random.Random(1), 3000, windows=8)
+    for name, text in (("soc.net", netlist_text), ("soc.intent", intent_text), ("soc.act", activity_text)):
+        (tmp_path / name).write_text(text)
+    peak = _traced_peak(["power", "--netlist", str(tmp_path / "soc.net"), "--intent", str(tmp_path / "soc.intent"),
+                         "--activity", str(tmp_path / "soc.act"), "--fclk-mhz", "150"])
+    assert peak <= 2.8e6, f"{peak / 1e6:.2f} MB"
 
 
 def test_help_exits_0(capsys):
