@@ -71,17 +71,10 @@ def _read(path: str) -> Iterator[TextIO]:
     with open(path, encoding="utf-8") as file:
         try:
             yield file if file.seekable() else io.StringIO(file.read())
-        except UnicodeDecodeError as error:
-            # The error counts its byte from the block read: decode the file
-            # whole for its offset in the file, unless an inner ``_read``
-            # already has (its file is the one that failed).
-            if file.seekable() and not getattr(error, "whole_file", False):
+        except UnicodeDecodeError:
+            if file.seekable():  # the error counts from the block read: decode whole for the file offset
                 file.seek(0)
-                try:
-                    file.buffer.read().decode("utf-8")
-                except UnicodeDecodeError as whole:
-                    whole.whole_file = True
-                    raise
+                file.buffer.read().decode("utf-8")
             raise
 
 
@@ -112,8 +105,10 @@ def _configured(path: str | None) -> tuple[LeakageModel, PimConfig]:
 
 
 def _load_design(args: argparse.Namespace):
-    with _read(args.netlist) as netlist, _read(args.intent) as intent:
-        return parse_design(netlist, intent)
+    with _read(args.intent) as intent:  # a line per island: read whole, so one file is open at a time
+        intent_text = intent.read()
+    with _read(args.netlist) as netlist:
+        return parse_design(netlist, intent_text)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -197,13 +197,16 @@ def apply_power_fixes(design: Design) -> Design:
 def insert_sleep_pins(design: Design) -> Design:
     """Hook every sleepable cell of every switchable island to its SLPB net.
 
-    The net ``slpb_<island>`` is driven by the design's power-island manager
-    cell when present, otherwise by the input port of that name or else a
-    new one at the island's supply (suffixed ``_<n>`` if a cell or port
-    holds the name); new nets and ports are added in island order.  Shifter,
-    iso, and manager cells never take sleep pins.  A cell whose ``slpb`` pin
-    is already a load of some net (say, of a spliced sleep-net shifter) only
-    gets its flag set.  Idempotent.
+    An island's sleep net is the first of ``slpb_<island>``,
+    ``slpb_<island>_1``, ... that is free or driven by an input port or by the
+    power-island manager cell's ``slpb_<island>`` pin: a net of such a name
+    with another driver keeps its loads, and another switchable island's
+    ``slpb_<island>`` is left to it.  A new sleep net is driven by the manager
+    when present, otherwise by the input port of its name or else a new one at
+    the island's supply (suffixed ``_<n>`` if a cell or port holds the name),
+    in island order.  Shifter, iso, and manager cells never take sleep pins.
+    A cell whose ``slpb`` pin is already a load of some net (say, of a spliced
+    sleep-net shifter) only gets its flag set.  Idempotent.
     """
     hooked: dict[str, list[tuple[str, str]]] = {i.name: [] for i in design.islands if i.switchable}
     wired = _sleep_wired(design)
@@ -214,30 +217,35 @@ def insert_sleep_pins(design: Design) -> Design:
                 hooked[cell.island].append((cell.name, "slpb"))
             if not cell.has_sleep_pin:
                 cells[at] = _make_cell(cell.name, cell.kind, cell.island, cell.cap_ff, cell.gate_count, True)
-    pending = {f"slpb_{island}": (island, loads) for island, loads in hooked.items() if loads}
-    if not pending and tuple(cells) == design.cells:
+    if not any(hooked.values()) and tuple(cells) == design.cells:
         return design
 
     nets = list(design.nets)
-    for at, net in enumerate(nets):
-        if net.name in pending:
-            nets[at] = _make_net(net.name, net.raw_driver, net.raw_loads + tuple(pending.pop(net.name)[1]))
     ports = list(design.ports)
-    pim = design.pim_cell()
-    ports_by_name = design.ports_by_name()
+    manager = getattr(design.pim_cell(), "name", None)
+    inputs = {port.name for port in ports if port.direction == "in"}
+    sleep_at = {net.name: at for at, net in enumerate(nets) if net.name.startswith("slpb_")}
     added: set[str] = set()
-    for net_name, (island, loads) in pending.items():
-        if pim is not None:
-            driver = (pim.name, net_name)
+    for island, loads in hooked.items():
+        if not loads:
+            continue
+        pin = f"slpb_{island}"
+        name = _unique(pin, {f"slpb_{other}" for other in hooked} - {pin}, {
+            taken for taken, i in sleep_at.items()
+            if nets[i].raw_driver != (manager, pin) and nets[i].raw_driver[0] not in inputs
+        })
+        at = sleep_at.get(name, len(nets))  # the island's sleep net, or a new one at the end
+        if at < len(nets):
+            driver, loads = nets[at].raw_driver, [*nets[at].raw_loads, *loads]
+        elif manager is not None:
+            driver = (manager, pin)
+        elif name in inputs:
+            driver = (name, "p")
         else:
-            port = ports_by_name.get(net_name)
-            if port is None or port.direction != "in":
-                name = _unique(net_name, design.cells_by_name(), ports_by_name, added)
-                added.add(name)
-                port = Port(name, "in", design.islands_by_name()[island].vdd)
-                ports.append(port)
-            driver = (port.name, "p")
-        nets.append(_make_net(net_name, driver, tuple(loads)))
+            driver = (_unique(name, design.cells_by_name(), design.ports_by_name(), added), "p")
+            added.add(driver[0])
+            ports.append(Port(driver[0], "in", design.islands_by_name()[island].vdd))
+        nets[at:at + 1] = [_make_net(name, driver, tuple(loads))]
     return replace(design, cells=tuple(cells), nets=tuple(nets), ports=tuple(ports))
 
 

@@ -54,13 +54,13 @@ read the raw tuples.  The parser and the fixer build ``Net`` and
 ``CellInstance`` records from values they have already checked by writing
 straight into the slots (``_make_net``, ``_make_cell``).  Each name is
 stored once: ``parse_design`` passes every cell, port, island and pin text
-through a symbol table local to the call, so an endpoint's cell is the very
-``CellInstance.name`` or ``Port.name`` object and a cell's island is its
-``Island.name``, and ``parse_activity`` with ``design=`` keys its result by
-the design's ``Net.name`` objects.  The table is a plain dict dropped after
-the line loop, not ``sys.intern``: interned strings are immortal on
-CPython 3.12, so a process that parses many designs would keep every name
-it ever read.
+through one table local to the call, seeded with the ``Island.name``
+objects, so an endpoint's cell is its ``CellInstance.name`` or ``Port.name``
+and a cell's island its ``Island.name``; ``parse_activity`` with ``design=``
+keys its result by the design's ``Net.name`` objects.  The table is a plain
+dict dropped after the line loop, not ``sys.intern``: interned strings are
+immortal on CPython 3.12, so a process that parses many designs would keep
+every name it ever read.
 
 A ``Design`` also carries a topology index (name maps, gate sums per
 island, dynamic-power terms and the crossing walk), built member by member
@@ -644,11 +644,8 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
     cells: list[CellInstance] = []
     nets: list[Net] = []
     ports: list[Port] = []
-    # One str object per distinct text: cell and port names (the endpoint
-    # namespace) in one table, island and pin texts in a small second one
-    # that starts with the intent's own island names.
-    name_of = {}.setdefault
-    label_of = {island.name: island.name for island in islands}.setdefault
+    # one str object per distinct cell, port, island and pin text
+    name_of = {island.name: island.name for island in islands}.setdefault
     kinds = _KIND_BY_VALUE
     isfinite = math.isfinite
     for line_no, tokens in _token_lines(netlist_text):
@@ -681,7 +678,7 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
                 if kind not in kinds or island is None or not isfinite(cap) or sleep not in (None, "0", "1"):
                     raise ValueError
                 cells.append(_make_cell(
-                    name_of(name, name), kinds[kind], label_of(island, island), cap,
+                    name_of(name, name), kinds[kind], name_of(island, island), cap,
                     1 if gates is None else int(gates), sleep == "1",
                 ))
             elif directive == "net":
@@ -698,7 +695,7 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
                     raise ValueError
                 # rpartition(".") gives an empty cell or pin where one is missing
                 cell, _, pin = driver.rpartition(".")
-                raw_driver = (name_of(cell, cell), label_of(pin, pin))
+                raw_driver = (name_of(cell, cell), name_of(pin, pin))
                 if "" in raw_driver:
                     raise ValueError
                 raw_loads: list[tuple[str, str]] = []
@@ -708,7 +705,7 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
                             cell, _, pin = item.rpartition(".")
                             if not cell or not pin:
                                 raise ValueError
-                            raw_loads.append((name_of(cell, cell), label_of(pin, pin)))
+                            raw_loads.append((name_of(cell, cell), name_of(pin, pin)))
                 nets.append(_make_net(name, raw_driver, tuple(raw_loads)))
             elif directive == "port":
                 # a handful per design: the checked reader raises its own ParseError
@@ -718,7 +715,7 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
                 raise ValueError
         except ValueError:
             raise _netlist_fault(line_no, tokens) from None
-    del name_of, label_of  # the tables are not needed past the line loop
+    del name_of  # the table is not needed past the line loop
 
     design = Design(tuple(islands), tuple(cells), tuple(nets), tuple(ports))
     faults = list(_design_faults(design))
@@ -784,6 +781,9 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
 
     cell_names: set[str] = set()
     pim_seen = False
+    # an island's gates may add up past a float: reported after every other cell fault
+    totals: dict[str, int] = {}
+    overflows: list[tuple[str, int, str]] = []
     for i, cell in enumerate(design.cells):
         if cell.name in cell_names:
             yield "cell", i, "duplicate name"
@@ -794,6 +794,10 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
             yield "cell", i, "cap_ff must be finite and >= 0"
         if not 1 <= cell.gate_count <= _MAX_COUNT:
             yield "cell", i, "gates must be >= 1 and fit a float"
+        else:
+            total = totals[cell.island] = totals.get(cell.island, 0) + cell.gate_count
+            if total - cell.gate_count <= _MAX_COUNT < total:
+                overflows.append(("cell", i, f"gates of island '{cell.island}' add up to more than a float holds"))
         if cell.kind is CellKind.PIM:
             if pim_seen:
                 yield "cell", i, "multiple pim cells"
@@ -801,15 +805,7 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
             # an island manager that powers itself down cannot wake its island
             if cell.island in switchable:
                 yield "cell", i, f"pim in switchable island '{cell.island}'"
-    # Each count fits a float, but an island's sum may not.  That is rare, so
-    # the cell where a sum first overflows is looked for only then.
-    if sum(cell.gate_count for cell in design.cells) > _MAX_COUNT:
-        totals: dict[str, int] = {}
-        for i, cell in enumerate(design.cells):
-            if 1 <= cell.gate_count <= _MAX_COUNT:
-                total = totals[cell.island] = totals.get(cell.island, 0) + cell.gate_count
-                if total - cell.gate_count <= _MAX_COUNT < total:
-                    yield "cell", i, f"gates of island '{cell.island}' add up to more than a float holds"
+    yield from overflows
 
     # cells and ports share one endpoint namespace
     direction: dict[str, str] = {}

@@ -289,7 +289,9 @@ def clashing_names_design(rng: random.Random) -> Design:
     """A small design whose net and cell names make the fixer's generated
     names collide: net ``a`` shifted toward islands ``b`` and ``c`` gets
     ``ls_a_b``, the plain name of net ``a_b``'s shifter, and a cell may
-    already hold a name such as ``ls_a``."""
+    already hold a name such as ``ls_a``.  Sometimes a manager sits in an
+    always-on island, and a plain cell drives a net named ``slpb_<island>``
+    or ``slpb_<island>_1`` after a switchable island."""
     islands = (
         Island("x", 0.8, switchable=rng.random() < 0.5),
         Island("b", 1.2),
@@ -300,15 +302,22 @@ def clashing_names_design(rng: random.Random) -> Design:
     for name in rng.sample(("ls_a", "ls_a_b", "iso_a_c", "ls_a_b_1", "iso_a"), rng.randint(0, 2)):
         cells.append(CellInstance(name, CellKind.STD, rng.choice("bcx")))
     names = rng.sample(("a", "a_b", "a_c", "a_1", "a_b_1", "a_x", "b", "ls_a_out"), rng.randint(2, 6))
-    nets = tuple(
+    nets = [
         Net(
             name,
             Endpoint(rng.choice(cells).name, "z"),
             tuple(Endpoint(rng.choice(cells).name, f"a{j}") for j in range(rng.randint(1, 3))),
         )
         for name in names
-    )
-    return Design(islands, tuple(cells), nets, ())
+    ]
+    plain = list(cells)
+    if rng.random() < 0.5:
+        cells.append(CellInstance("pim0", CellKind.PIM, rng.choice([i.name for i in islands if not i.switchable])))
+    for island in islands:
+        if island.switchable:
+            for name in rng.sample((f"slpb_{island.name}", f"slpb_{island.name}_1"), rng.randint(0, 2)):
+                nets.append(Net(name, Endpoint(rng.choice(plain).name, "z"), (Endpoint(rng.choice(plain).name, "d"),)))
+    return Design(islands, tuple(cells), tuple(nets), ())
 
 
 def soc_texts(rng: random.Random, cells: int, islands: int = 8, windows: int = 1) -> tuple[str, str, str]:

@@ -15,7 +15,7 @@ from pwr.crossings import (
     insert_sleep_pins,
     verify_power_intent,
 )
-from pwr.netlist import CellKind, Endpoint, Net, parse_design, serialize_design, validate_design
+from pwr.netlist import FIX_KINDS, CellKind, Endpoint, Net, parse_design, serialize_design, validate_design
 
 
 def test_three_island_soc_needs_exactly_one_shifter(soc3):
@@ -150,6 +150,23 @@ def test_insert_sleep_pins_extends_an_existing_sleep_net():
     assert insert_sleep_pins(only_a).cells == (replace(design.cells[0], has_sleep_pin=True),)
 
 
+def test_insert_sleep_pins_leaves_another_islands_first_name_to_it():
+    # slpb_x is a plain net, and slpb_x_1 is island x_1's own name, so x steps to slpb_x_2
+    design = parse_design(
+        "cell d kind=std island=x\ncell f kind=std island=x\ncell e kind=std island=x_1\n"
+        "net slpb_x driver=d.z loads=f.a\n",
+        "island x vdd=1.0 switchable=1\nisland x_1 vdd=1.2 switchable=1\n",
+    )
+    pinned = insert_sleep_pins(design)
+    assert pinned.nets[1:] == (
+        Net("slpb_x_2", Endpoint("slpb_x_2", "p"), (Endpoint("d", "slpb"), Endpoint("f", "slpb"))),
+        Net("slpb_x_1", Endpoint("slpb_x_1", "p"), (Endpoint("e", "slpb"),)),
+    )
+    assert [(p.name, p.vdd) for p in pinned.ports] == [("slpb_x_2", 1.0), ("slpb_x_1", 1.2)]
+    assert validate_design(pinned) == [] and verify_power_intent(pinned) == []
+    assert insert_sleep_pins(pinned) is pinned
+
+
 def test_insert_sleep_pins_touches_only_switchable_islands(gated_soc):
     pinned = insert_sleep_pins(gated_soc)
     switchable = {i.name for i in gated_soc.islands if i.switchable}
@@ -263,6 +280,31 @@ def test_fixer_adds_what_the_one_pass_oracle_adds(seed, clashing):
     rng = random.Random(seed)
     design = clashing_names_design(rng) if clashing else insert_sleep_pins(random_fixed_design(rng))
     assert apply_power_fixes(design) == reference_apply_power_fixes(design)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_every_sleep_pin_hangs_on_the_manager_or_an_input_port(seed):
+    """With plain nets named like sleep nets, each ``slpb`` load of the fixed
+    design traces back, through the fix cells spliced onto its net, to the
+    manager's ``slpb_<island>`` pin or to an input port."""
+    fixed = _fix(clashing_names_design(random.Random(seed)))
+    cells = fixed.cells_by_name()
+    manager = getattr(fixed.pim_cell(), "name", None)
+    inputs = {p.name for p in fixed.ports if p.direction == "in"}
+    feeds = {ep.cell: net for net in fixed.nets for ep in net.loads if ep.pin == "a"}
+    for net in fixed.nets:
+        for ep in net.loads:
+            if ep.pin != "slpb":
+                continue
+            source = net
+            while source.driver.cell in cells and cells[source.driver.cell].kind in FIX_KINDS:
+                source = feeds[source.driver.cell]
+            assert source.driver in ((manager, f"slpb_{cells[ep.cell].island}"),) or source.driver.cell in inputs, (
+                f"{ep} hangs on {net.name}, driven from {source.driver}"
+            )
+    assert verify_power_intent(fixed) == []
+    assert _fix(fixed) == fixed
 
 
 def test_second_pin_pass_leaves_a_shifted_sleep_net_alone(gated_soc):

@@ -478,17 +478,33 @@ def test_a_gate_count_past_the_float_range_fails_every_command_at_its_line(works
     assert (captured.out, captured.err) == ("", message)
 
 
-def test_gate_counts_that_add_up_past_the_float_range_fail_at_the_cell_that_overflows(workspace, capsys):
+def test_gate_counts_that_add_up_past_the_float_range_fail_at_the_cell_that_overflows(workspace, capsys, monkeypatch):
     netlist = workspace["dir"] / "huge.net"
     big = f"gates={10**308}"
-    netlist.write_text(THREE_ISLAND_NETLIST.replace("gates=9000", big).replace("gates=30000", big)
-                       + f"cell usb1 kind=std island=usb {big}\nnet u1 driver=usb1.z loads=cpu0.c\n")
+    huge = THREE_ISLAND_NETLIST.replace("gates=9000", big).replace("gates=30000", big)
+    netlist.write_text(huge + f"cell usb1 kind=std island=usb {big}\nnet u1 driver=usb1.z loads=cpu0.c\n")
     argv = ["power", "--netlist", str(netlist), "--intent", workspace["intent"],
             "--activity", workspace["activity"], "--fclk-mhz", "150"]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
-    message = "pwr: error: netlist line 8: cell usb1: gates of island 'usb' add up to more than a float holds\n"
-    assert (captured.out, captured.err) == ("", message)
+    overflow = "cell usb1: gates of island 'usb' add up to more than a float holds"
+    assert (captured.out, captured.err) == ("", f"pwr: error: netlist line 8: {overflow}\n")
+    # The overflowing cell before and after other cell faults: the parse names
+    # the first line, and validate_design lists the overflow after every
+    # other cell fault (the values of the two-loop walk this replaced).
+    after = f"cell usb1 kind=std island=usb {big}\ncell none kind=std island=usb gates=0\nnet u1 driver=usb1.z loads=cpu0.c\n"
+    for before, message, rules in [
+        ("", f"netlist line 8: {overflow}", ["cell none: gates must be >= 1 and fit a float", overflow]),
+        ("cell ghost kind=std island=nowhere\n", "netlist line 8: cell ghost: unknown island 'nowhere'",
+         ["cell ghost: unknown island 'nowhere'", "cell none: gates must be >= 1 and fit a float", overflow]),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_design(huge + before + after, THREE_ISLAND_INTENT)
+        assert str(info.value) == message
+        with monkeypatch.context() as m:
+            m.setattr("pwr.netlist._design_faults", lambda design: iter(()))
+            design = parse_design(huge + before + after, THREE_ISLAND_INTENT)
+        assert [str(v) for v in validate_design(design)] == rules
 
 
 @pytest.mark.parametrize(
@@ -687,12 +703,19 @@ def _pwr_from_a_pipe(argv: list[str], stdin: str) -> subprocess.CompletedProcess
 def test_a_netlist_piped_to_dev_stdin_reads_as_its_file(workspace, capsys):
     argv = ["check", "--netlist", workspace["gated_netlist"], "--intent", workspace["gated_intent"]]
     assert run_cli(argv) == 2
+    good = capsys.readouterr().out
     piped = _pwr_from_a_pipe(["check", "--netlist", "/dev/stdin", "--intent", workspace["gated_intent"]], GATED_NETLIST)
-    assert (piped.returncode, piped.stdout, piped.stderr) == (2, capsys.readouterr().out, "")
+    assert (piped.returncode, piped.stdout, piped.stderr) == (2, good, "")
     # a duplicate cell is a design fault, whose line needs a second read of the text
     faulty = GATED_NETLIST + "cell cpu0 kind=std island=cpu\n"
     piped = _pwr_from_a_pipe(["check", "--netlist", "/dev/stdin", "--intent", workspace["gated_intent"]], faulty)
     assert (piped.returncode, piped.stdout, piped.stderr) == (1, "", "pwr: error: netlist line 15: cell cpu0: duplicate name\n")
+    # the intent, read whole before the netlist opens, reads from a pipe the same way
+    piped = _pwr_from_a_pipe(["check", "--netlist", workspace["gated_netlist"], "--intent", "/dev/stdin"], GATED_INTENT)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (2, good, "")
+    piped = _pwr_from_a_pipe(["check", "--netlist", workspace["gated_netlist"], "--intent", "/dev/stdin"],
+                             GATED_INTENT + "island cpu vdd=1.0\n")
+    assert (piped.returncode, piped.stdout, piped.stderr) == (1, "", "pwr: error: intent line 4: island cpu: duplicate name\n")
 
 
 def _traced_peak(argv: list[str]) -> int:
@@ -763,6 +786,36 @@ def test_fix_shifts_a_sleep_net_from_a_lower_supply_manager(tmp_path, capsys):
     assert run_cli(["fix", "--netlist", str(first), "--intent", str(intent), "--out", str(second)]) == 0
     assert "0 crossing fixes, 0 sleep pins added, 0 sleep-net fixes" in capsys.readouterr().out
     assert second.read_text() == first.read_text()
+
+
+def test_fix_leaves_a_plain_net_named_like_a_sleep_net_alone(tmp_path, capsys):
+    """``slpb_logic`` is the user's net from a plain cell: the manager drives
+    the sleep pins on a net of the next free name, which a later ``fix``
+    extends."""
+    netlist, intent = tmp_path / "soc.net", tmp_path / "soc.intent"
+    cells = ("cell pim0 kind=pim island=aon\ncell a kind=std island=aon\n"
+             "cell b kind=std island=logic\ncell c kind=std island=logic\n")
+    netlist.write_text(cells + "net slpb_logic driver=a.z loads=c.d\nnet n driver=b.z loads=c.a\n")
+    intent.write_text("island aon vdd=1.2\nisland logic vdd=1.2 switchable=1\n")
+    first, second = tmp_path / "fixed1.net", tmp_path / "fixed2.net"
+    assert run_cli(["fix", "--netlist", str(netlist), "--intent", str(intent), "--out", str(first)]) == 0
+    assert capsys.readouterr().out == f"wrote {first}: 0 crossing fixes, 2 sleep pins added, 0 sleep-net fixes\n"
+    nets = [line for line in first.read_text().splitlines() if line.startswith("net ")]
+    assert nets == [
+        "net slpb_logic driver=a.z loads=c.d",
+        "net n driver=b.z loads=c.a",
+        "net slpb_logic_1 driver=pim0.slpb_logic loads=b.slpb,c.slpb",
+    ]
+    assert run_cli(["check", "--netlist", str(first), "--intent", str(intent)]) == 0
+    assert run_cli(["fix", "--netlist", str(first), "--intent", str(intent), "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    # a sleepable cell added later joins the manager's net, not a third one
+    first.write_text(first.read_text() + "cell e kind=std island=logic\n")
+    capsys.readouterr()
+    assert run_cli(["fix", "--netlist", str(first), "--intent", str(intent), "--out", str(second)]) == 0
+    assert capsys.readouterr().out == f"wrote {second}: 0 crossing fixes, 1 sleep pins added, 0 sleep-net fixes\n"
+    nets = [line for line in second.read_text().splitlines() if line.startswith("net ")]
+    assert nets[1:] == ["net n driver=b.z loads=c.a", "net slpb_logic_1 driver=pim0.slpb_logic loads=b.slpb,c.slpb,e.slpb"]
 
 
 def test_fix_counts_the_pin_of_a_flagged_cell_it_hooks(tmp_path, capsys):
