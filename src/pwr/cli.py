@@ -64,10 +64,10 @@ def _pin(text: str) -> tuple[str, float]:
 
 @contextmanager
 def _read(path: str) -> Iterator[TextIO]:
-    """The UTF-8 text file at ``path``, open for a reader to stream.  A file
-    that cannot seek (a pipe) is read whole first, as ``parse_design`` reads
-    a file again from its start to name a fault's line.  A byte that is not
-    UTF-8 fails with the decoder's error at its offset in the file."""
+    """The UTF-8 text file at ``path``, open for a reader to stream.  A byte
+    that is not UTF-8 fails with the decoder's error at its offset in the
+    file, so a file that cannot seek back to decode again (a pipe) is read
+    whole first."""
     with open(path, encoding="utf-8") as file:
         try:
             yield file if file.seekable() else io.StringIO(file.read())

@@ -150,8 +150,8 @@ def apply_power_fixes(design: Design) -> Design:
         return design
     # each fix's bit in every lane, to count the chains of a net that need it
     every_lane = {bit: sum(bit << at for at in lane.values()) for bit, _, _, _ in _FIXES}
-    cells = design.cells_by_name()
-    ports = design.ports_by_name()
+    cells = design.topology.cells_by_name
+    ports = {port.name for port in design.ports}
     # the design's nets that a generated net name could clash with
     fix_nets = {net.name for net in design.nets if net.name.startswith(_FIX_PREFIXES)}
 
@@ -222,10 +222,9 @@ def insert_sleep_pins(design: Design) -> Design:
 
     nets = list(design.nets)
     ports = list(design.ports)
-    manager = getattr(design.pim_cell(), "name", None)
+    manager = getattr(design.topology.pim, "name", None)
     inputs = {port.name for port in ports if port.direction == "in"}
     sleep_at = {net.name: at for at, net in enumerate(nets) if net.name.startswith("slpb_")}
-    added: set[str] = set()
     for island, loads in hooked.items():
         if not loads:
             continue
@@ -242,8 +241,7 @@ def insert_sleep_pins(design: Design) -> Design:
         elif name in inputs:
             driver = (name, "p")
         else:
-            driver = (_unique(name, design.cells_by_name(), design.ports_by_name(), added), "p")
-            added.add(driver[0])
+            driver = (_unique(name, design.topology.cells_by_name, {port.name for port in ports}), "p")
             ports.append(Port(driver[0], "in", design.islands_by_name()[island].vdd))
         nets[at:at + 1] = [_make_net(name, driver, tuple(loads))]
     return replace(design, cells=tuple(cells), nets=tuple(nets), ports=tuple(ports))

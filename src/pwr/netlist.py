@@ -62,13 +62,14 @@ dict dropped after the line loop, not ``sys.intern``: interned strings are
 immortal on CPython 3.12, so a process that parses many designs would keep
 every name it ever read.
 
-A ``Design`` also carries a topology index (name maps, gate sums per
-island, dynamic-power terms and the crossing walk), built member by member
-on first use and then kept.  Each cached member is a pure function of the
-frozen fields it reads, so a thread race can compute one twice but never
-get a different value.  The walk and the power terms depend only on
-``cells`` and ``nets``: ``Design.with_supplies`` retargets the island
-supplies and shares the index, while any other new ``Design`` builds its own.
+A ``Design`` also carries a topology index (the cell map, the manager
+cell, gate sums per island, dynamic-power terms and the crossing walk),
+built member by member on first use and then kept.  Each cached member is
+a pure function of the frozen fields it reads, so a thread race can compute
+one twice but never get a different value.  The walk and the power terms
+depend only on ``cells`` and ``nets``: ``Design.with_supplies`` retargets
+the island supplies and shares the index, while any other new ``Design``
+builds its own.
 """
 
 from __future__ import annotations
@@ -144,9 +145,6 @@ class Endpoint(NamedTuple):
 
     cell: str
     pin: str
-
-    def __str__(self) -> str:
-        return f"{self.cell}.{self.pin}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,10 +266,6 @@ class Topology:
     @cached_property
     def cells_by_name(self) -> Mapping[str, CellInstance]:
         return MappingProxyType(self._cell_map)
-
-    @cached_property
-    def nets_by_name(self) -> Mapping[str, Net]:
-        return MappingProxyType({n.name: n for n in self._nets})
 
     @cached_property
     def gates_by_island(self) -> Mapping[str, int]:
@@ -410,18 +404,6 @@ class Design:
 
     def islands_by_name(self) -> Mapping[str, Island]:
         return MappingProxyType({i.name: i for i in self.islands})
-
-    def cells_by_name(self) -> Mapping[str, CellInstance]:
-        return self.topology.cells_by_name
-
-    def nets_by_name(self) -> Mapping[str, Net]:
-        return self.topology.nets_by_name
-
-    def ports_by_name(self) -> Mapping[str, Port]:
-        return MappingProxyType({p.name: p for p in self.ports})
-
-    def pim_cell(self) -> CellInstance | None:
-        return self.topology.pim
 
     def with_supplies(self, vdd_by_island: Mapping[str, float]) -> Design:
         """A copy with the named islands retargeted to new supplies.
@@ -623,15 +605,18 @@ _NETLIST_GRAMMAR = {
 def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Design:
     """Parse a netlist plus power-intent pair, each a str or an open text
     file, into a validated Design.  A file is read once from where it
-    stands, and read again from there (so it must be seekable) only to find
-    a fault's line; line numbers count from there.
+    stands, and read again from there only to find a fault's line; a file
+    that cannot seek (a pipe) is read whole first.  Line numbers count from
+    where each file stands.
 
     Raises ParseError on bad syntax, or at the line of the first invariant
     ``validate_design`` would report (intent before netlist, then by line).
     """
-    texts = (intent_text, netlist_text)
+    # a file that cannot seek is read whole, as a fault's line needs a second read
+    texts = [t if isinstance(t, str) or t.seekable() else t.read() for t in (intent_text, netlist_text)]
+    intent_text, netlist_text = texts
     # where each file stands, to read it again from there for a fault's line
-    starts = [0 if isinstance(text, str) or not text.seekable() else text.tell() for text in texts]
+    starts = [0 if isinstance(text, str) else text.tell() for text in texts]
     islands: list[Island] = []
     for line_no, _, name, attrs in _statements("intent", _token_lines(intent_text), _INTENT_GRAMMAR):
         islands.append(Island(
@@ -900,7 +885,8 @@ def parse_activity(activity_text: str | TextIO, f_clk_mhz: float, design: Design
         raise ValueError(f"f_clk_mhz must be finite, got {f_clk_mhz}")
     if f_clk_mhz <= 0:
         raise ValueError(f"f_clk_mhz must be positive, got {f_clk_mhz}")
-    known = design.nets_by_name() if design is not None else None
+    # the design's own name object for each net name, for this call only
+    known = {net.name: net.name for net in design.nets} if design is not None else None
     toggles: dict[str, int] = {}
     durations: dict[str, float] = {}
     inf = math.inf
@@ -923,7 +909,7 @@ def parse_activity(activity_text: str | TextIO, f_clk_mhz: float, design: Design
             if count is None or not 0 <= count <= _MAX_COUNT or duration is None or not 0 < duration < inf:
                 raise ValueError
             if known is not None:
-                name = known[name].name
+                name = known[name]
         except (ValueError, KeyError):
             raise _activity_fault(line_no, tokens, known) from None
         count += toggles.get(name, 0)
@@ -940,7 +926,7 @@ def parse_activity(activity_text: str | TextIO, f_clk_mhz: float, design: Design
     return durations
 
 
-def _activity_fault(line_no: int, tokens: list[str], known: Mapping[str, Net] | None) -> ParseError:
+def _activity_fault(line_no: int, tokens: list[str], known: Mapping[str, str] | None) -> ParseError:
     """The ``ParseError`` of an activity line that ``parse_activity``
     rejected, as the checked reader finds it: ``_statements`` over the
     tokens, then the net lookup and the value converters in a fixed order."""

@@ -305,7 +305,7 @@ def static_power(
             rows.append(IslandPower(island.name, static_sleep_w=watts))
         else:
             rows.append(IslandPower(island.name, static_active_w=watts))
-    manager_w = model.manager_overhead_w if asleep and design.pim_cell() is not None else 0.0
+    manager_w = model.manager_overhead_w if asleep and design.topology.pim is not None else 0.0
     assumptions = (
         ("temp_c", temp_c),
         ("bias_v", model.bias_v),

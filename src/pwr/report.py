@@ -6,9 +6,7 @@ full precision so the machine formats round-trip exactly.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from dataclasses import astuple, dataclass, fields
 
 from .netlist import Violation
@@ -64,6 +62,8 @@ def emit_report(report: Report, fmt: str = "text") -> str:
         body = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in grid]
         return "\n".join(header + body) + "\n"
     if fmt == "json":
+        import json  # here and csv below, so that no other format pays for the import
+
         doc = {
             "kind": report.kind,
             "version": TOOL_VERSION,
@@ -72,6 +72,8 @@ def emit_report(report: Report, fmt: str = "text") -> str:
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.columns)

@@ -18,6 +18,11 @@ from pwr.crossings import (
 from pwr.netlist import FIX_KINDS, CellKind, Endpoint, Net, parse_design, serialize_design, validate_design
 
 
+def _named(records, name):
+    """The net or port of ``name`` among ``records``."""
+    return next(record for record in records if record.name == name)
+
+
 def test_three_island_soc_needs_exactly_one_shifter(soc3):
     issues = analyze_crossings(soc3)
     assert len(issues) == 1
@@ -95,7 +100,7 @@ def test_fixed_design_roundtrips(soc3):
 
 def test_insert_sleep_pins_counts(gated_soc):
     pinned = insert_sleep_pins(gated_soc)
-    slpb = pinned.nets_by_name()["slpb_logic"]
+    slpb = _named(pinned.nets, "slpb_logic")
     assert len(slpb.loads) == 5
     assert slpb.driver.cell == "pim0"  # manager cell drives the sleep net
     flagged = [c.name for c in pinned.cells if c.has_sleep_pin]
@@ -116,8 +121,8 @@ def test_insert_sleep_pins_without_manager(soc3):
         "island x vdd=1.0 switchable=1\n",
     )
     pinned = insert_sleep_pins(design)
-    assert pinned.ports_by_name()["slpb_x"].direction == "in"
-    assert pinned.nets_by_name()["slpb_x"].driver.cell == "slpb_x"
+    assert _named(pinned.ports, "slpb_x").direction == "in"
+    assert _named(pinned.nets, "slpb_x").driver.cell == "slpb_x"
     assert insert_sleep_pins(pinned) == pinned
 
 
@@ -129,7 +134,7 @@ def test_insert_sleep_pins_names_its_port_clear_of_a_cell():
     )
     pinned = insert_sleep_pins(design)
     assert [p.name for p in pinned.ports] == ["slpb_x_1"]
-    assert pinned.nets_by_name()["slpb_x"] == Net("slpb_x", Endpoint("slpb_x_1", "p"), (Endpoint("b", "slpb"),))
+    assert _named(pinned.nets, "slpb_x") == Net("slpb_x", Endpoint("slpb_x_1", "p"), (Endpoint("b", "slpb"),))
     assert validate_design(pinned) == [] and verify_power_intent(pinned) == []
     assert insert_sleep_pins(pinned) == pinned
 
@@ -142,7 +147,7 @@ def test_insert_sleep_pins_extends_an_existing_sleep_net():
         "island x vdd=1.0 switchable=1\n",
     )
     pinned = insert_sleep_pins(design)
-    assert pinned.nets_by_name()["slpb_x"].loads == (Endpoint("a", "slpb"), Endpoint("b", "slpb"))
+    assert _named(pinned.nets, "slpb_x").loads == (Endpoint("a", "slpb"), Endpoint("b", "slpb"))
     assert pinned.ports == design.ports and len(pinned.nets) == 2
     assert all(c.has_sleep_pin for c in pinned.cells)
     # with nothing left to hook, the wired cell still gets its flag
@@ -186,7 +191,7 @@ def test_sleep_pins_skip_fix_and_manager_cells(gated_soc):
         if cell.kind in (CellKind.ISO, CellKind.LEVEL_SHIFTER, CellKind.PIM):
             assert not cell.has_sleep_pin
     # ls_m2l sits inside the logic island but still takes no sleep pin
-    assert len(pinned.nets_by_name()["slpb_logic"].loads) == 5
+    assert len(_named(pinned.nets, "slpb_logic").loads) == 5
 
 
 # -- fix: sleep pins, then crossings ------------------------------------------
@@ -207,7 +212,7 @@ def test_existing_shifter_in_an_intermediate_island():
     assert (issue.net, issue.driver_island, issue.receiver_island) == ("n2", "a", "b")
     assert "swings 1 V into island 'b' at 1.2 V" in issue.rationale
     fixed = _fix(design)
-    assert fixed.nets_by_name()["n2"].loads == (Endpoint("ls_n2", "a"),)
+    assert _named(fixed.nets, "n2").loads == (Endpoint("ls_n2", "a"),)
     assert verify_power_intent(fixed) == []
     assert _fix(fixed) == fixed
 
@@ -221,7 +226,7 @@ def test_existing_iso_cell_inside_the_switchable_driver_island():
     [issue] = analyze_crossings(design)
     assert (issue.net, issue.kind) == ("n2", IssueKind.NEEDS_ISOLATION)
     fixed = _fix(design)
-    assert fixed.cells_by_name()["iso_n2"].island == "b"
+    assert fixed.topology.cells_by_name["iso_n2"].island == "b"
     assert verify_power_intent(fixed) == []
     assert _fix(fixed) == fixed
 
@@ -239,8 +244,8 @@ def test_existing_iso_cell_inside_the_switchable_driver_island():
 def test_generated_names_step_past_user_names(extra, cell, net):
     design = parse_design(THREE_ISLAND_NETLIST + extra, THREE_ISLAND_INTENT)
     fixed = _fix(design)
-    assert fixed.nets_by_name()["cpu2usb"].loads == (Endpoint(cell, "a"),)
-    assert fixed.nets_by_name()[net] == Net(net, Endpoint(cell, "z"), (Endpoint("usb0", "a"),))
+    assert _named(fixed.nets, "cpu2usb").loads == (Endpoint(cell, "a"),)
+    assert _named(fixed.nets, net) == Net(net, Endpoint(cell, "z"), (Endpoint("usb0", "a"),))
     assert verify_power_intent(fixed) == []
     assert validate_design(fixed) == []
     assert _fix(fixed) == fixed
@@ -289,8 +294,8 @@ def test_every_sleep_pin_hangs_on_the_manager_or_an_input_port(seed):
     design traces back, through the fix cells spliced onto its net, to the
     manager's ``slpb_<island>`` pin or to an input port."""
     fixed = _fix(clashing_names_design(random.Random(seed)))
-    cells = fixed.cells_by_name()
-    manager = getattr(fixed.pim_cell(), "name", None)
+    cells = fixed.topology.cells_by_name
+    manager = getattr(fixed.topology.pim, "name", None)
     inputs = {p.name for p in fixed.ports if p.direction == "in"}
     feeds = {ep.cell: net for net in fixed.nets for ep in net.loads if ep.pin == "a"}
     for net in fixed.nets:
@@ -312,7 +317,7 @@ def test_second_pin_pass_leaves_a_shifted_sleep_net_alone(gated_soc):
     low = gated_soc.with_supplies({"cpu": 0.8})
     fixed = _fix(low)
     assert [c.name for c in fixed.cells if c.kind is CellKind.LEVEL_SHIFTER] == ["ls_m2l", "ls_c2l", "ls_slpb_logic"]
-    assert fixed.nets_by_name()["slpb_logic"].loads == (Endpoint("ls_slpb_logic", "a"),)
+    assert _named(fixed.nets, "slpb_logic").loads == (Endpoint("ls_slpb_logic", "a"),)
     assert insert_sleep_pins(fixed) is fixed
     assert verify_power_intent(fixed) == []
 
@@ -330,7 +335,7 @@ def test_fix_hooks_a_flagged_cell_that_no_sleep_net_reaches():
     ]
     fixed = _fix(design)
     slpb = Net("slpb_logic", Endpoint("pim0", "slpb_logic"), (Endpoint("block", "slpb"),))
-    assert fixed.nets_by_name()["slpb_logic"] == slpb
+    assert _named(fixed.nets, "slpb_logic") == slpb
     assert verify_power_intent(fixed) == []
     assert _fix(fixed) == fixed
 

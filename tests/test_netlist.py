@@ -3,6 +3,7 @@ import gc
 import io
 import itertools
 import math
+import os
 import pickle
 import random
 import tracemalloc
@@ -760,20 +761,30 @@ def test_each_reader_reads_an_open_file_as_its_text(tmp_path_factory, data):
             assert _outcome(lambda: _READERS[kind](opened, text)) == expected
 
 
+def _piped(text: str):
+    """``text`` written through an ``os.pipe``, its read end open as text."""
+    read, write = os.pipe()
+    with open(write, "w", encoding="utf-8") as sink:
+        sink.write(text)
+    return open(read, encoding="utf-8")
+
+
 def test_parse_design_counts_lines_from_where_each_file_stands():
     """A file handed over past a header is read from there, and so is the
-    second read that finds a design fault's line."""
+    second read that finds a design fault's line; a pipe, which cannot seek
+    back, is read whole from there first."""
     header = "HEADER v1\n"
     faulty = _NETLIST_PARTNER + "cell a kind=std island=y\n"
     with pytest.raises(ParseError) as from_text:
         parse_design(faulty, _INTENT_PARTNER)
     assert str(from_text.value) == "netlist line 4: cell a: duplicate name"
-    netlist_file, intent_file = io.StringIO(header + faulty), io.StringIO(header + _INTENT_PARTNER)
-    netlist_file.readline()
-    intent_file.readline()
-    with pytest.raises(ParseError) as from_file:
-        parse_design(netlist_file, intent_file)
-    assert str(from_file.value) == str(from_text.value)
+    for opened in (io.StringIO, _piped):
+        with opened(header + faulty) as netlist_file, opened(header + _INTENT_PARTNER) as intent_file:
+            netlist_file.readline()
+            intent_file.readline()
+            with pytest.raises(ParseError) as from_file:
+                parse_design(netlist_file, intent_file)
+        assert str(from_file.value) == str(from_text.value)
 
 
 def test_block_reader_holds_a_block_not_the_text():

@@ -116,6 +116,22 @@ def test_json_and_csv_round_trip_equal_values(soc3, char_table):
                 assert text == str(value)
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's ``pwr`` first on ``PYTHONPATH``,
+    for a fresh interpreter."""
+    src = str(Path(pwr.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_importing_the_cli_loads_neither_json_nor_csv():
+    """Only ``emit_report``'s json and csv branches use those modules, so
+    no other command loads them."""
+    code = "import sys, pwr.cli; print(sorted({'json', 'csv'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=_src_env(),
+                         timeout=60, check=False)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 def test_empty_report_is_headers_only():
     report = Report("power", ("island", "dynamic_w"), ())
     assert emit_report(report, "csv") == "island,dynamic_w\n"
@@ -196,6 +212,12 @@ def test_fix_then_check_exits_0(workspace, capsys):
     assert run_cli([
         "fix", "--netlist", workspace["netlist"], "--intent", workspace["intent"], "--out", out_path,
     ]) == 0
+    assert run_cli(["check", "--netlist", out_path, "--intent", workspace["intent"]]) == 0
+    # a netlist of only comments has no statement: its fix is one empty line
+    comments = workspace["dir"] / "comments.net"
+    comments.write_text("# nothing here yet\n")
+    assert run_cli(["fix", "--netlist", str(comments), "--intent", workspace["intent"], "--out", out_path]) == 0
+    assert Path(out_path).read_text() == "\n"
     assert run_cli(["check", "--netlist", out_path, "--intent", workspace["intent"]]) == 0
 
 
@@ -692,11 +714,10 @@ def test_a_bad_intent_beside_a_bad_netlist_names_the_intent_it_read_first(worksp
 
 
 def _pwr_from_a_pipe(argv: list[str], stdin: str) -> subprocess.CompletedProcess:
-    """``python -m pwr.cli`` with ``stdin`` fed through a pipe."""
-    src = str(Path(pwr.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    """``python -m pwr.cli`` with ``stdin`` fed through a pipe; a surrogate
+    escape such as ``\\udcff`` goes through as its one byte."""
     return subprocess.run([sys.executable, "-m", "pwr.cli", *argv], input=stdin, capture_output=True,
-                          encoding="utf-8", env=env, timeout=60, check=False)
+                          encoding="utf-8", errors="surrogateescape", env=_src_env(), timeout=60, check=False)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -716,6 +737,13 @@ def test_a_netlist_piped_to_dev_stdin_reads_as_its_file(workspace, capsys):
     piped = _pwr_from_a_pipe(["check", "--netlist", workspace["gated_netlist"], "--intent", "/dev/stdin"],
                              GATED_INTENT + "island cpu vdd=1.0\n")
     assert (piped.returncode, piped.stdout, piped.stderr) == (1, "", "pwr: error: intent line 4: island cpu: duplicate name\n")
+    # a byte that is not UTF-8, blocks into the pipe, counts from the start of the stream
+    good = "".join(f"cell pad{i} kind=std island=cpu\n" for i in range(15_000))
+    piped = _pwr_from_a_pipe(["check", "--netlist", "/dev/stdin", "--intent", workspace["gated_intent"]],
+                             good + "\udcff\n")
+    assert (piped.returncode, piped.stdout, piped.stderr) == (
+        1, "", f"pwr: error: 'utf-8' codec can't decode byte 0xff in position {len(good)}: invalid start byte\n",
+    )
 
 
 def _traced_peak(argv: list[str]) -> int:

@@ -134,15 +134,13 @@ def test_index_built_under_thread_contention():
 
 def test_name_views_reject_assignment(gated_soc):
     analyze_crossings(gated_soc)
-    views = (gated_soc.islands_by_name(), gated_soc.cells_by_name(), gated_soc.nets_by_name(),
-             gated_soc.ports_by_name())
+    views = (gated_soc.islands_by_name(), gated_soc.topology.cells_by_name)
     for view in views:
         with pytest.raises(TypeError):
             view["intruder"] = None
         with pytest.raises(TypeError):
             del view[next(iter(view), "missing")]
-    assert gated_soc.cells_by_name()["pim0"] is gated_soc.pim_cell()
-    assert set(gated_soc.nets_by_name()) == {n.name for n in gated_soc.nets}
+    assert gated_soc.topology.cells_by_name["pim0"] is gated_soc.topology.pim
 
 
 def test_with_supplies_shares_the_index(soc3):
