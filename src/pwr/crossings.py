@@ -163,11 +163,12 @@ def apply_power_fixes(design: Design) -> Design:
     for net_name, receiver in zip(chain_nets, chain_receivers):
         net = patched[net_name]
         # every crossing's receiver is a direct cell load of its net
-        receiver_loads: list[tuple[str, str]] = []
-        other_loads: list[tuple[str, str]] = []
-        for ep in net.raw_loads:
-            cell = cells.get(ep[0])
-            (receiver_loads if cell is not None and cell.island == receiver else other_loads).append(ep)
+        ends = net.raw_ends
+        receiver_ends: list[str] = []
+        other_ends = list(ends[:2])
+        for load, pin in zip(ends[2::2], ends[3::2]):
+            cell = cells.get(load)
+            (receiver_ends if cell is not None and cell.island == receiver else other_ends).extend((load, pin))
 
         fixes = fixes_of[net_name]
         chain: list[str] = []
@@ -182,13 +183,12 @@ def apply_power_fixes(design: Design) -> Design:
             new_cells.append(_make_cell(name, cell_kind, receiver, 0.0, 1, False))
             chain.append(name)
 
-        other_loads.append((chain[0], "a"))
-        patched[net_name] = _make_net(net_name, net.raw_driver, tuple(other_loads))
+        patched[net_name] = _make_net(net_name, (*other_ends, chain[0], "a"))
         for i, fix_name in enumerate(chain):
-            loads = ((chain[i + 1], "a"),) if i + 1 < len(chain) else tuple(receiver_loads)
+            loads = (chain[i + 1], "a") if i + 1 < len(chain) else receiver_ends
             # ``<fix>_out`` or ``<fix>_out_<n>``: distinct for distinct fix cells
             out_name = _unique(f"{fix_name}_out", fix_nets)
-            new_nets.append(_make_net(out_name, (fix_name, "z"), loads))
+            new_nets.append(_make_net(out_name, (fix_name, "z", *loads)))
 
     nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(new_nets)
     return replace(design, cells=design.cells + tuple(new_cells), nets=nets)
@@ -208,13 +208,14 @@ def insert_sleep_pins(design: Design) -> Design:
     A cell whose ``slpb`` pin is already a load of some net (say, of a spliced
     sleep-net shifter) only gets its flag set.  Idempotent.
     """
-    hooked: dict[str, list[tuple[str, str]]] = {i.name: [] for i in design.islands if i.switchable}
+    # each switchable island's new sleep-net loads, flat: cell, "slpb", ...
+    hooked: dict[str, list[str]] = {i.name: [] for i in design.islands if i.switchable}
     wired = _sleep_wired(design)
     cells = list(design.cells)
     for at, cell in enumerate(cells):
         if cell.island in hooked and cell.kind in SLEEPABLE_KINDS:
             if cell.name not in wired:
-                hooked[cell.island].append((cell.name, "slpb"))
+                hooked[cell.island] += cell.name, "slpb"
             if not cell.has_sleep_pin:
                 cells[at] = _make_cell(cell.name, cell.kind, cell.island, cell.cap_ff, cell.gate_count, True)
     if not any(hooked.values()) and tuple(cells) == design.cells:
@@ -231,19 +232,19 @@ def insert_sleep_pins(design: Design) -> Design:
         pin = f"slpb_{island}"
         name = _unique(pin, {f"slpb_{other}" for other in hooked} - {pin}, {
             taken for taken, i in sleep_at.items()
-            if nets[i].raw_driver != (manager, pin) and nets[i].raw_driver[0] not in inputs
+            if nets[i].raw_ends[:2] != (manager, pin) and nets[i].raw_ends[0] not in inputs
         })
         at = sleep_at.get(name, len(nets))  # the island's sleep net, or a new one at the end
         if at < len(nets):
-            driver, loads = nets[at].raw_driver, [*nets[at].raw_loads, *loads]
+            ends = nets[at].raw_ends  # its driver and loads, then the new loads
         elif manager is not None:
-            driver = (manager, pin)
+            ends = (manager, pin)
         elif name in inputs:
-            driver = (name, "p")
+            ends = (name, "p")
         else:
-            driver = (_unique(name, design.topology.cells_by_name, {port.name for port in ports}), "p")
-            ports.append(Port(driver[0], "in", design.islands_by_name()[island].vdd))
-        nets[at:at + 1] = [_make_net(name, driver, tuple(loads))]
+            ends = (_unique(name, design.topology.cells_by_name, {port.name for port in ports}), "p")
+            ports.append(Port(ends[0], "in", design.islands_by_name()[island].vdd))
+        nets[at:at + 1] = [_make_net(name, (*ends, *loads))]
     return replace(design, cells=tuple(cells), nets=tuple(nets), ports=tuple(ports))
 
 
@@ -260,7 +261,8 @@ def fix_design(design: Design) -> tuple[Design, tuple[int, int, int]]:
 
 def _sleep_wired(design: Design) -> set[str]:
     """Names of the cells whose ``slpb`` pin is a load of some net."""
-    return {cell for net in design.nets for cell, pin in net.raw_loads if pin == "slpb"}
+    return {cell for net in design.nets if "slpb" in net.raw_ends
+            for cell, pin in zip(net.raw_ends[2::2], net.raw_ends[3::2]) if pin == "slpb"}
 
 
 def verify_power_intent(design: Design) -> list[Violation]:

@@ -44,21 +44,21 @@ can be shared freely across threads.  ``parse_activity`` returns a plain
 dict, which the power stages only read.
 
 The records are kept cheap for the garbage collector.  ``Island``,
-``CellInstance`` and ``Port`` have slots, and a ``Net`` stores its driver and
-loads as exact ``(cell, pin)`` str tuples in ``raw_driver`` and ``raw_loads``,
-which CPython stops tracking after their first collection (an ``Endpoint``,
-being a tuple subclass, is tracked for life).  ``Net.driver`` and
-``Net.loads`` stay the public fields: they accept ``Endpoint`` values or
-plain pairs and return ``Endpoint`` views built on each read.  The stages
-read the raw tuples.  The parser and the fixer build ``Net`` and
-``CellInstance`` records from values they have already checked by writing
-straight into the slots (``_make_net``, ``_make_cell``).  Each name is
-stored once: ``parse_design`` passes every cell, port, island and pin text
-through one table local to the call, seeded with the ``Island.name``
-objects, so an endpoint's cell is its ``CellInstance.name`` or ``Port.name``
-and a cell's island its ``Island.name``; ``parse_activity`` with ``design=``
-keys its result by the design's ``Net.name`` objects.  The table is a plain
-dict dropped after the line loop, not ``sys.intern``: interned strings are
+``CellInstance`` and ``Port`` have slots, and a ``Net`` stores its endpoints
+flat, in one exact str tuple ``raw_ends``: ``(driver cell, driver pin, load
+cell, load pin, ...)``, which CPython stops tracking after its first
+collection (an ``Endpoint``, being a tuple subclass, is tracked for life).
+``Net.driver`` and ``Net.loads`` stay the public fields: they accept
+``Endpoint`` values or plain pairs and return ``Endpoint`` views built on
+each read.  The stages read ``raw_ends``.  The parser and the fixer build
+``Net`` and ``CellInstance`` records from values they have already checked by
+writing straight into the slots (``_make_net``, ``_make_cell``).  Each name
+is stored once: ``parse_design`` passes every cell, port, island and pin text
+through one table local to the call, seeded with the ``Island.name`` objects,
+so an endpoint's cell is its ``CellInstance.name`` or ``Port.name`` and a
+cell's island its ``Island.name``; ``parse_activity`` with ``design=`` keys
+its result by the design's ``Net.name`` objects.  The table is a plain dict
+dropped after the line loop, not ``sys.intern``: interned strings are
 immortal on CPython 3.12, so a process that parses many designs would keep
 every name it ever read.
 
@@ -171,11 +171,11 @@ class CellInstance:
 class Net:
     """A named wire from one driver endpoint to its load endpoints.
 
-    ``driver`` and ``loads`` are views: the endpoints are stored as exact
-    ``(cell, pin)`` tuples in ``raw_driver`` and ``raw_loads``.
+    ``driver`` and ``loads`` are views over ``raw_ends``, one exact tuple
+    ``(driver cell, driver pin, load cell, load pin, ...)``.
     """
 
-    __slots__ = ("name", "raw_driver", "raw_loads")
+    __slots__ = ("name", "raw_ends")
 
     name: str
     driver: Endpoint
@@ -183,19 +183,21 @@ class Net:
 
     def __init__(self, name: str, driver: tuple[str, str], loads: Iterable[tuple[str, str]] = ()) -> None:
         cell, pin = driver
+        ends = [cell, pin]
+        for cell, pin in loads:
+            ends += cell, pin
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "raw_driver", (cell, pin))
-        # tuple() hands back an exact tuple as is and copies an Endpoint
-        object.__setattr__(self, "raw_loads", tuple(map(tuple, loads)))
+        object.__setattr__(self, "raw_ends", tuple(ends))
 
     def __reduce__(self) -> tuple:
         # pickle would restore slots by setattr, which a frozen class refuses
-        return Net, (self.name, self.raw_driver, self.raw_loads)
+        return Net, (self.name, self.raw_ends[:2], tuple(zip(self.raw_ends[2::2], self.raw_ends[3::2])))
 
 
 # set after @dataclass, which would otherwise take a property for a default
-Net.driver = property(lambda net: Endpoint._make(net.raw_driver))  # type: ignore[assignment]
-Net.loads = property(lambda net: tuple(map(Endpoint._make, net.raw_loads)))  # type: ignore[assignment]
+Net.driver = property(lambda net: Endpoint._make(net.raw_ends[:2]))  # type: ignore[assignment]
+Net.loads = property(  # type: ignore[assignment]
+    lambda net: tuple(map(Endpoint, net.raw_ends[2::2], net.raw_ends[3::2])))
 
 
 # The builders below write trusted values straight into the records' slots
@@ -206,7 +208,7 @@ _cell_name, _cell_kind, _cell_island, _cell_cap_ff, _cell_gates, _cell_sleep = (
     CellInstance.__dict__[slot].__set__
     for slot in ("name", "kind", "island", "cap_ff", "gate_count", "has_sleep_pin")
 )
-_net_name, _net_driver, _net_loads = (Net.__dict__[slot].__set__ for slot in ("name", "raw_driver", "raw_loads"))
+_net_name, _net_ends = (Net.__dict__[slot].__set__ for slot in ("name", "raw_ends"))
 
 
 def _make_cell(name: str, kind: CellKind, island: str, cap_ff: float, gate_count: int,
@@ -222,13 +224,12 @@ def _make_cell(name: str, kind: CellKind, island: str, cap_ff: float, gate_count
     return cell
 
 
-def _make_net(name: str, raw_driver: tuple[str, str], raw_loads: tuple[tuple[str, str], ...]) -> Net:
-    """``Net(...)`` for an exact ``(cell, pin)`` str tuple and an exact tuple
-    of them, stored as given."""
+def _make_net(name: str, raw_ends: tuple[str, ...]) -> Net:
+    """``Net(...)`` for an exact str tuple ``(driver cell, driver pin, load
+    cell, load pin, ...)``, stored as given."""
     net = _new(Net)
     _net_name(net, name)
-    _net_driver(net, raw_driver)
-    _net_loads(net, raw_loads)
+    _net_ends(net, raw_ends)
     return net
 
 
@@ -285,7 +286,7 @@ class Topology:
         cells = self._cell_map
         out: dict[str, tuple[list[float], list[str]]] = {}
         for net in self._nets:
-            driver = cells.get(net.raw_driver[0])
+            driver = cells.get(net.raw_ends[0])
             if driver is not None:
                 caps, nets = out.get(driver.island) or out.setdefault(driver.island, ([], []))
                 caps.append(driver.cap_ff)
@@ -313,7 +314,7 @@ class Topology:
         starts: list[Net] = []
         relays: list[Net] = []
         for net in self._nets:
-            driver = cells.get(net.raw_driver[0])
+            driver = cells.get(net.raw_ends[0])
             if driver is not None and driver.kind in FIX_KINDS:
                 relays.append(net)
             elif driver is not None:
@@ -324,7 +325,7 @@ class Topology:
         relayed: dict[str, Net] = {}
         next_relay: dict[str, Net] = {}
         for net in reversed(relays):
-            cell = net.raw_driver[0]
+            cell = net.raw_ends[0]
             if cell in relayed:
                 next_relay[net.name] = relayed[cell]
             relayed[cell] = net
@@ -334,8 +335,8 @@ class Topology:
             # fix cell on it, so the missed nets' own loads decide which fix
             # cells are fed; those that are not go first.
             missed = [net for net in relays if net.name not in reached]
-            fed = {cell for net in missed for cell, _ in net.raw_loads}
-            missed.sort(key=lambda net: net.raw_driver[0] in fed)
+            fed = {cell for net in missed for cell in net.raw_ends[2::2]}
+            missed.sort(key=lambda net: net.raw_ends[0] in fed)
             yield from missed
 
         # identical terminals and terminal sets are shared between nets
@@ -347,13 +348,13 @@ class Topology:
         for net in chain(starts, relay_starts()):
             if net.name in reached:
                 continue
-            home = cells[net.raw_driver[0]].island
+            home = cells[net.raw_ends[0]].island
             filed_here = filed.get(home) or filed.setdefault(home, {})
             frontier = [(net, home, False)]
             visited = {net.name}
             for current, swing, isolated in frontier:  # grows while iterated: BFS order
                 terminals: list[Terminal] = []
-                for cell, _ in current.raw_loads:
+                for cell in current.raw_ends[2::2]:
                     load = cells.get(cell)
                     if load is None:
                         continue
@@ -374,7 +375,7 @@ class Topology:
                 if not terminals:
                     continue
                 at = len(walks)
-                if current.raw_driver[0] in relayed:  # another walk may have filed it
+                if current.raw_ends[0] in relayed:  # another walk may have filed it
                     at = filed_here.setdefault(current.name, at)
                     if at < len(walks):  # merge, keeping the earlier walk's terminals first
                         terminals = [*walks[at][2], *(t for t in terminals if t not in walks[at][2])]
@@ -680,18 +681,18 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
                     raise ValueError
                 # rpartition(".") gives an empty cell or pin where one is missing
                 cell, _, pin = driver.rpartition(".")
-                raw_driver = (name_of(cell, cell), name_of(pin, pin))
-                if "" in raw_driver:
+                if not cell or not pin:
                     raise ValueError
-                raw_loads: list[tuple[str, str]] = []
+                ends = [name_of(cell, cell), name_of(pin, pin)]
                 if loads is not None:
                     for item in loads.split(","):
                         if item:
                             cell, _, pin = item.rpartition(".")
                             if not cell or not pin:
                                 raise ValueError
-                            raw_loads.append((name_of(cell, cell), name_of(pin, pin)))
-                nets.append(_make_net(name, raw_driver, tuple(raw_loads)))
+                            ends.append(name_of(cell, cell))
+                            ends.append(name_of(pin, pin))
+                nets.append(_make_net(name, tuple(ends)))
             elif directive == "port":
                 # a handful per design: the checked reader raises its own ParseError
                 _, _, _, port = next(_statements("netlist", [(line_no, tokens)], _NETLIST_GRAMMAR))
@@ -810,19 +811,20 @@ def _design_faults(design: Design) -> Iterator[tuple[str, int, str]]:
         if net.name in net_names:
             yield "net", i, "duplicate name"
         net_names.add(net.name)
-        driver = net.raw_driver[0]
+        ends = net.raw_ends
+        driver = ends[0]
         if driver not in cell_names and driver not in direction:
             yield "net", i, "unresolved driver"
         elif driver not in cell_names and direction[driver] == "out":
-            yield "net", i, f"driver '{'.'.join(net.raw_driver)}' is an output port"
-        for ep in net.raw_loads:
-            if ep[0] in cell_names:
+            yield "net", i, f"driver '{driver}.{ends[1]}' is an output port"
+        for cell, pin in zip(ends[2::2], ends[3::2]):
+            if cell in cell_names:
                 continue
-            if ep[0] not in direction:
-                yield "net", i, f"unresolved load '{'.'.join(ep)}'"
-            elif direction[ep[0]] == "in":
-                yield "net", i, f"load '{'.'.join(ep)}' is an input port"
-        if not net.raw_loads and direction.get(net.name) != "out":
+            if cell not in direction:
+                yield "net", i, f"unresolved load '{cell}.{pin}'"
+            elif direction[cell] == "in":
+                yield "net", i, f"load '{cell}.{pin}' is an input port"
+        if len(ends) == 2 and direction.get(net.name) != "out":
             yield "net", i, "no loads and not a top-level output"
 
 
@@ -859,9 +861,11 @@ def _netlist_lines(design: Design) -> Iterator[str]:
         yield (f"cell {c.name} kind={_KIND_TEXT[c.kind]} island={c.island} cap_ff={float(c.cap_ff)!r}"
                f" gates={c.gate_count}{' sleep=1' if c.has_sleep_pin else ''}\n")
     for n in design.nets:
-        driver = ".".join(n.raw_driver)
-        yield (f"net {n.name} driver={driver} loads={','.join(map('.'.join, n.raw_loads))}\n"
-               if n.raw_loads else f"net {n.name} driver={driver}\n")
+        ends = n.raw_ends
+        # no load or one load joins whole, as "" or "cell.pin"
+        loads = ",".join(map(".".join, zip(ends[2::2], ends[3::2]))) if len(ends) > 4 else ".".join(ends[2:])
+        driver = f"net {n.name} driver={ends[0]}.{ends[1]}"
+        yield f"{driver} loads={loads}\n" if loads else f"{driver}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -296,14 +296,18 @@ _OPS = {op: op for op in ("write_sleep", "read_status")}
 
 def parse_script(text: str | TextIO) -> tuple[ScriptCommand, ...]:
     """Parse ``at <ns> write_sleep [0|1]`` / ``at <ns> read_status`` lines
-    from a str or an open text file."""
+    from a str or an open text file; no line's time is below the one before."""
     commands: list[ScriptCommand] = []
+    last = 0.0
     for line_no, tokens in _token_lines(text):
         if tokens[0] != "at" or len(tokens) < 3:
             raise ParseError("script", line_no, f"expected 'at <ns> <command>', got '{' '.join(tokens)}'")
         time_ns = _float("script", line_no, "time", tokens[1])
         if time_ns < 0:
             raise ParseError("script", line_no, f"time must be >= 0, got '{tokens[1]}'")
+        if time_ns < last:
+            raise ParseError("script", line_no, f"time must be >= the previous line's {last:g}, got '{tokens[1]}'")
+        last = time_ns
         op = _OPS.get(tokens[2])
         if op is None:
             raise ParseError("script", line_no, f"unknown command '{tokens[2]}'")

@@ -228,6 +228,9 @@ def test_parse_script_errors():
         parse_script("at 0 write_sleep\nat nan read_status\n")
     with pytest.raises(ParseError, match="line 1: time must be >= 0"):
         parse_script("at -5 write_sleep\n")
+    # equal times pass; the line count takes in comments
+    with pytest.raises(ParseError, match=r"line 4: time must be >= the previous line's 5, got '4.5'$"):
+        parse_script("at 5 write_sleep\nat 5 read_status\n# later\nat 4.5 read_status\n")
 
 
 # -- trace / vcd ------------------------------------------------------------------
@@ -441,17 +444,19 @@ def test_sleep_sim_streams_the_library_trace_and_vcd(tmp_path_factory, inputs):
 
 
 @pytest.mark.parametrize(
-    "config_text, script_text",
+    "config_text, script_text, error",
     [
-        ("", "at 1000 write_sleep\nat 1100 read_status\n# later\nat 1150 write_sleep\nat 1120 read_status\n"),
-        ("explicit_bit=1\n", "at 1000 write_sleep 1\nat 1070 write_sleep 0\nat 1200 read_status\nat 1210 write_sleep\n"),
+        ("", "at 1000 write_sleep\nat 1100 read_status\n# later\nat 1150 write_sleep\nat 1120 read_status\n",
+         ParseError),
+        ("explicit_bit=1\n", "at 1000 write_sleep 1\nat 1070 write_sleep 0\nat 1200 read_status\nat 1210 write_sleep\n",
+         ValueError),
     ],
     ids=["time-goes-back", "explicit-without-value"],
 )
-def test_a_script_that_fails_after_events_fired_writes_nothing(tmp_path, config_text, script_text):
+def test_a_script_that_fails_after_events_fired_writes_nothing(tmp_path, config_text, script_text, error):
     # more trace lines before the fault than one written block holds
     script_text = "".join(f"at {i / 10} read_status\n" for i in range(5000)) + script_text
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(error) as info:
         pim_run_script(PimConfig(**parse_config(config_text)), parse_script(script_text))
     code, out, err, vcd = _sleep_sim(tmp_path, config_text, script_text)
     assert (code, out, err) == (1, "", f"pwr: error: {info.value}\n")

@@ -330,6 +330,16 @@ def test_sleep_sim_write_mode_mismatch_exits_1_naming_its_command(workspace, cap
     assert (captured.out, captured.err) == ("", f"pwr: error: {message}\n")
 
 
+def test_sleep_sim_time_going_back_exits_1_naming_its_line(workspace, capsys):
+    (workspace["dir"] / "sleep.script").write_text("at 0 write_sleep\nat 100 read_status\nat 50 read_status\n")
+    vcd = workspace["dir"] / "back.vcd"
+    assert run_cli(["sleep-sim", "--script", workspace["script"], "--vcd", str(vcd)]) == 1
+    captured = capsys.readouterr()
+    message = "script line 3: time must be >= the previous line's 100, got '50'"
+    assert (captured.out, captured.err) == ("", f"pwr: error: {message}\n")
+    assert not vcd.exists()
+
+
 @pytest.mark.parametrize(
     "calib, message",
     [
@@ -568,7 +578,7 @@ _OPTIONS = {"fclk_mhz", "k", "temp_c", "freq_mhz", "baseline_v", "pin"}
 # check names the time, and a result that is not finite names its island.
 _SUBJECT_NAMED = re.compile(
     r"pwr: error: ((i0_per_gate_25c|temp_doubling_c|manager_overhead_w|t_iso_on|t_save) must be"
-    r"|script times must be non-decreasing|island '\w+': [^\n]* not finite)"
+    r"|island '\w+': [^\n]* not finite)"
 )
 
 
