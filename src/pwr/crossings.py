@@ -163,10 +163,9 @@ def apply_power_fixes(design: Design) -> Design:
     for net_name, receiver in zip(chain_nets, chain_receivers):
         net = patched[net_name]
         # every crossing's receiver is a direct cell load of its net
-        ends = net.raw_ends
         receiver_ends: list[str] = []
-        other_ends = list(ends[:2])
-        for load, pin in zip(ends[2::2], ends[3::2]):
+        other_ends = list(net.raw_ends[:2])
+        for load, pin in zip(net.raw_ends[2::2], net.raw_ends[3::2]):
             cell = cells.get(load)
             (receiver_ends if cell is not None and cell.island == receiver else other_ends).extend((load, pin))
 
@@ -261,8 +260,7 @@ def fix_design(design: Design) -> tuple[Design, tuple[int, int, int]]:
 
 def _sleep_wired(design: Design) -> set[str]:
     """Names of the cells whose ``slpb`` pin is a load of some net."""
-    return {cell for net in design.nets if "slpb" in net.raw_ends
-            for cell, pin in zip(net.raw_ends[2::2], net.raw_ends[3::2]) if pin == "slpb"}
+    return {cell for net in design.nets for cell, pin in zip(net.raw_ends[2::2], net.raw_ends[3::2]) if pin == "slpb"}
 
 
 def verify_power_intent(design: Design) -> list[Violation]:

@@ -690,8 +690,7 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
                             cell, _, pin = item.rpartition(".")
                             if not cell or not pin:
                                 raise ValueError
-                            ends.append(name_of(cell, cell))
-                            ends.append(name_of(pin, pin))
+                            ends += name_of(cell, cell), name_of(pin, pin)
                 nets.append(_make_net(name, tuple(ends)))
             elif directive == "port":
                 # a handful per design: the checked reader raises its own ParseError
@@ -862,10 +861,8 @@ def _netlist_lines(design: Design) -> Iterator[str]:
                f" gates={c.gate_count}{' sleep=1' if c.has_sleep_pin else ''}\n")
     for n in design.nets:
         ends = n.raw_ends
-        # no load or one load joins whole, as "" or "cell.pin"
-        loads = ",".join(map(".".join, zip(ends[2::2], ends[3::2]))) if len(ends) > 4 else ".".join(ends[2:])
-        driver = f"net {n.name} driver={ends[0]}.{ends[1]}"
-        yield f"{driver} loads={loads}\n" if loads else f"{driver}\n"
+        loads = f" loads={','.join(map('.'.join, zip(ends[2::2], ends[3::2])))}" if len(ends) > 2 else ""
+        yield f"net {n.name} driver={ends[0]}.{ends[1]}{loads}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ drives the controller: for each in-flight state, the events its completion
 fires, the state it moves to and the `PimConfig` field that times the next
 step.  Landing in ACTIVE or SLEEP re-examines the latched request
 (`_LEAVE`).  Each completed step builds one new `PimState`.
-`pim_advance`, `pim_write_sleep` and `pim_read_status` are the only
-implementation of the FSM.
+`pim_advance` (through `_advance_to`), `pim_write_sleep` and
+`pim_read_status` are the only implementation of the FSM.
 
 One event loop, `_events`, drives them from a timed script, after
 `_check_script` has rejected a bad script whole.  `pim_run_script` collects
@@ -238,7 +238,11 @@ def _checked_dt(dt: float) -> float:
 
 def pim_advance(state: PimState, dt: float) -> tuple[PimState, list[tuple[float, str]]]:
     """Advance simulated time by dt, firing every transition that falls due."""
-    end = state.now + _checked_dt(dt)
+    return _advance_to(state, state.now + _checked_dt(dt))
+
+
+def _advance_to(state: PimState, end: float) -> tuple[PimState, list[tuple[float, str]]]:
+    """Advance simulated time to ``end``, not before ``state.now``, exactly."""
     events: list[tuple[float, str]] = []
     while state.deadline is not None and state.deadline <= end:
         t = state.deadline
@@ -251,12 +255,13 @@ def _check_script(config: PimConfig, script: Iterable[ScriptCommand]) -> None:
     """Raise the error that running ``script`` would raise, before it fires
     any event: the first command, in script order, whose time goes back or
     is not finite, whose write does not suit the register's mode, or whose
-    op is unknown.  ``now`` steps as `pim_advance` steps it."""
-    now = 0.0
+    op is unknown."""
+    last = 0.0
     for position, command in enumerate(script, start=1):
-        if command.time_ns < now:
+        if command.time_ns < last:
             raise ValueError(f"script times must be non-decreasing (got {command.time_ns:g} ns)")
-        now += _checked_dt(command.time_ns - now)
+        _checked_dt(command.time_ns - last)
+        last = command.time_ns
         if command.op == "write_sleep":
             fault = _mode_fault(config, command.value)
             if fault:
@@ -271,10 +276,10 @@ _STATUS_EVENTS = {status: f"STATUS={status.value}" for status in PimStatus}
 
 def _events(config: PimConfig, script: Iterable[ScriptCommand]) -> Iterator[tuple[float, str]]:
     """The one event loop: each ``(time, event)`` of a checked script as the
-    register interface fires it."""
+    register interface fires it, standing at each command's time exactly."""
     state = pim_new(config)
     for command in script:
-        state, due = pim_advance(state, command.time_ns - state.now)
+        state, due = _advance_to(state, command.time_ns)
         yield from due
         if command.op == "write_sleep":
             state = pim_write_sleep(state, command.value)
@@ -298,7 +303,7 @@ def parse_script(text: str | TextIO) -> tuple[ScriptCommand, ...]:
     """Parse ``at <ns> write_sleep [0|1]`` / ``at <ns> read_status`` lines
     from a str or an open text file; no line's time is below the one before."""
     commands: list[ScriptCommand] = []
-    last = 0.0
+    last, last_text = 0.0, "0"
     for line_no, tokens in _token_lines(text):
         if tokens[0] != "at" or len(tokens) < 3:
             raise ParseError("script", line_no, f"expected 'at <ns> <command>', got '{' '.join(tokens)}'")
@@ -306,8 +311,8 @@ def parse_script(text: str | TextIO) -> tuple[ScriptCommand, ...]:
         if time_ns < 0:
             raise ParseError("script", line_no, f"time must be >= 0, got '{tokens[1]}'")
         if time_ns < last:
-            raise ParseError("script", line_no, f"time must be >= the previous line's {last:g}, got '{tokens[1]}'")
-        last = time_ns
+            raise ParseError("script", line_no, f"time must be >= the previous line's '{last_text}', got '{tokens[1]}'")
+        last, last_text = time_ns, tokens[1]
         op = _OPS.get(tokens[2])
         if op is None:
             raise ParseError("script", line_no, f"unknown command '{tokens[2]}'")

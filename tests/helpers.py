@@ -456,7 +456,10 @@ def _reference_complete_step(state: ReferencePimState) -> tuple[ReferencePimStat
 def reference_pim_advance(state: ReferencePimState, dt: float) -> tuple[ReferencePimState, list[tuple[float, str]]]:
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    end = state.now + dt
+    return _reference_advance_to(state, state.now + dt)
+
+
+def _reference_advance_to(state: ReferencePimState, end: float) -> tuple[ReferencePimState, list[tuple[float, str]]]:
     events: list[tuple[float, str]] = []
     while state.deadline is not None and state.deadline <= end:
         state, step_events = _reference_complete_step(state)
@@ -474,7 +477,7 @@ def reference_pim_run_script(
     for position, command in enumerate(script, start=1):
         if command.time_ns < state.now:
             raise ValueError(f"script times must be non-decreasing (got {command.time_ns:g} ns)")
-        state, due = reference_pim_advance(state, command.time_ns - state.now)
+        state, due = _reference_advance_to(state, command.time_ns)  # the command's time, exactly
         events.extend(due)
         if command.op == "write_sleep":
             try:

@@ -229,8 +229,11 @@ def test_parse_script_errors():
     with pytest.raises(ParseError, match="line 1: time must be >= 0"):
         parse_script("at -5 write_sleep\n")
     # equal times pass; the line count takes in comments
-    with pytest.raises(ParseError, match=r"line 4: time must be >= the previous line's 5, got '4.5'$"):
+    with pytest.raises(ParseError, match=r"line 4: time must be >= the previous line's '5', got '4.5'$"):
         parse_script("at 5 write_sleep\nat 5 read_status\n# later\nat 4.5 read_status\n")
+    # the previous time as it was written, not rounded
+    with pytest.raises(ParseError, match=r"line 2: time must be >= the previous line's '100.0000001', got '100'$"):
+        parse_script("at 100.0000001 write_sleep\nat 100 read_status\n")
 
 
 # -- trace / vcd ------------------------------------------------------------------

@@ -335,9 +335,17 @@ def test_sleep_sim_time_going_back_exits_1_naming_its_line(workspace, capsys):
     vcd = workspace["dir"] / "back.vcd"
     assert run_cli(["sleep-sim", "--script", workspace["script"], "--vcd", str(vcd)]) == 1
     captured = capsys.readouterr()
-    message = "script line 3: time must be >= the previous line's 100, got '50'"
+    message = "script line 3: time must be >= the previous line's '100', got '50'"
     assert (captured.out, captured.err) == ("", f"pwr: error: {message}\n")
     assert not vcd.exists()
+    # equal times run, though 3 + (2**53 + 6 - 3) rounds past 2**53 + 6 in floats
+    (workspace["dir"] / "sleep.script").write_text(
+        "at 3 write_sleep\nat 9007199254740998 read_status\nat 9007199254740998 read_status\n")
+    assert run_cli(["sleep-sim", "--script", workspace["script"], "--vcd", str(vcd)]) == 0
+    captured = capsys.readouterr()
+    trace = "3 WRITE_SLEEP\n23 ISO=1\n43 SAVE_DONE\n63 BIAS=1\n" + "9007199254740998 STATUS=sleeping\n" * 2
+    assert (captured.out, captured.err) == (trace, "")
+    assert vcd.exists()
 
 
 @pytest.mark.parametrize(
@@ -574,8 +582,8 @@ _ORDINARY = {
 # the numbers given as command-line options; every other one sits in an input file
 _OPTIONS = {"fclk_mhz", "k", "temp_c", "freq_mhz", "baseline_v", "pin"}
 # Exit-1 faults in a file that name their subject rather than a line: a
-# --config value checked by its model names its key, the script's order
-# check names the time, and a result that is not finite names its island.
+# --config value checked by its model names its key, and a result that is
+# not finite names its island.
 _SUBJECT_NAMED = re.compile(
     r"pwr: error: ((i0_per_gate_25c|temp_doubling_c|manager_overhead_w|t_iso_on|t_save) must be"
     r"|island '\w+': [^\n]* not finite)"
