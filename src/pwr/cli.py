@@ -10,7 +10,7 @@ import argparse
 import io
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from typing import Iterator, TextIO
 
@@ -30,9 +30,10 @@ from .report import (
 )
 from .voltage import InfeasibleError, assign_voltages, power_savings_summary
 
-_CONFIG_FIELDS = [f for cls in (LeakageModel, PimConfig) for f in fields(cls)]
-_CONFIG_KEYS = tuple(f.name for f in _CONFIG_FIELDS)
-_BOOL_KEYS = {f.name for f in _CONFIG_FIELDS if isinstance(f.default, bool)}
+# each --config key's model, which checks the key's value alone
+_CONFIG_MODELS = {f.name: cls for cls in (LeakageModel, PimConfig) for f in fields(cls)}
+_CONFIG_KEYS = tuple(_CONFIG_MODELS)
+_BOOL_KEYS = {f.name for cls in (LeakageModel, PimConfig) for f in fields(cls) if isinstance(f.default, bool)}
 
 
 class _UsageError(Exception):
@@ -80,27 +81,31 @@ def _read(path: str) -> Iterator[TextIO]:
 
 def parse_config(text: str | TextIO) -> dict[str, float | bool]:
     """key=value overrides for LeakageModel / PimConfig defaults, each key
-    given once, in the shared token grammar of the other input formats."""
+    given once, in the shared token grammar of the other input formats.
+    Each value is checked at its line by its model, built with it alone."""
     out: dict[str, float | bool] = {}
     for line_no, tokens in _token_lines(text):
         for key, value in _attrs("config", line_no, tokens, (), _CONFIG_KEYS).items():
             if key in out:
                 raise ParseError("config", line_no, f"duplicate attribute '{key}'")
             out[key] = (_flag if key in _BOOL_KEYS else _float)("config", line_no, key, value)
+            try:
+                _CONFIG_MODELS[key](**{key: out[key]})
+            except ValueError as err:
+                raise ParseError("config", line_no, str(err)) from None
     return out
 
 
 def _configured(path: str | None) -> tuple[LeakageModel, PimConfig]:
     """The ``LeakageModel`` and the ``PimConfig`` of the ``--config`` file,
-    both built and so both checked whichever command reads the file."""
+    whose values ``parse_config`` checks whichever command reads the file."""
     config: dict[str, float | bool] = {}
     if path:
         with _read(path) as file:
             config = parse_config(file)
-    leakage = {f.name for f in fields(LeakageModel)}
     return (
-        LeakageModel(**{k: v for k, v in config.items() if k in leakage}),
-        PimConfig(**{k: v for k, v in config.items() if k not in leakage}),
+        LeakageModel(**{k: v for k, v in config.items() if _CONFIG_MODELS[k] is LeakageModel}),
+        PimConfig(**{k: v for k, v in config.items() if _CONFIG_MODELS[k] is PimConfig}),
     )
 
 
@@ -162,12 +167,14 @@ def _cmd_sleep_sim(args: argparse.Namespace) -> int:
     _, config = _configured(args.config)
     times: list[float] = []
     changes: list[str] = []
-    # a bad script fails before the first block; the VCD needs the whole run first
     with _read(args.script) as file:
         script = parse_script(file)
-    sys.stdout.writelines(_trace_blocks(config, script, times, changes))
-    if args.vcd:
-        with open(args.vcd, "w", encoding="utf-8") as out:
+    # a bad script, then a VCD path that cannot be opened, fails before the
+    # first block; the VCD itself needs the whole run first
+    blocks = _trace_blocks(config, script, times, changes)
+    with open(args.vcd, "w", encoding="utf-8") if args.vcd else nullcontext() as out:
+        sys.stdout.writelines(blocks)
+        if out:
             out.writelines(_blocks(_vcd_lines(times, changes)))
     return 0
 

@@ -44,15 +44,15 @@ can be shared freely across threads.  ``parse_activity`` returns a plain
 dict, which the power stages only read.
 
 The records are kept cheap for the garbage collector.  ``Island``,
-``CellInstance`` and ``Port`` have slots, and a ``Net`` stores its endpoints
-flat, in one exact str tuple ``raw_ends``: ``(driver cell, driver pin, load
-cell, load pin, ...)``, which CPython stops tracking after its first
-collection (an ``Endpoint``, being a tuple subclass, is tracked for life).
-``Net.driver`` and ``Net.loads`` stay the public fields: they accept
-``Endpoint`` values or plain pairs and return ``Endpoint`` views built on
-each read.  The stages read ``raw_ends``.  The parser and the fixer build
-``Net`` and ``CellInstance`` records from values they have already checked by
-writing straight into the slots (``_make_net``, ``_make_cell``).  Each name
+``CellInstance``, ``Net`` and ``Port`` have slots.  A net is
+``Net(name, raw_ends)``, its endpoints flat in one exact str tuple
+``(driver cell, driver pin, load cell, load pin, ...)``, which CPython stops
+tracking after its first collection (an ``Endpoint``, being a tuple
+subclass, is tracked for life).  ``Net.driver`` and ``Net.loads`` are
+read-only ``Endpoint`` views built on each read; the stages read
+``raw_ends``.  The parser and the fixer build ``Net`` and ``CellInstance``
+records from values they have already checked by writing straight into the
+slots (``_make_net``, ``_make_cell``).  Each name
 is stored once: ``parse_design`` passes every cell, port, island and pin text
 through one table local to the call, seeded with the ``Island.name`` objects,
 so an endpoint's cell is its ``CellInstance.name`` or ``Port.name`` and a
@@ -167,37 +167,22 @@ class CellInstance:
     has_sleep_pin: bool = False
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Net:
-    """A named wire from one driver endpoint to its load endpoints.
-
-    ``driver`` and ``loads`` are views over ``raw_ends``, one exact tuple
-    ``(driver cell, driver pin, load cell, load pin, ...)``.
-    """
-
-    __slots__ = ("name", "raw_ends")
+    """A named wire from one driver endpoint to its load endpoints, kept in
+    one exact tuple ``raw_ends``: ``(driver cell, driver pin, load cell,
+    load pin, ...)``."""
 
     name: str
-    driver: Endpoint
-    loads: tuple[Endpoint, ...] = ()
+    raw_ends: tuple[str, ...]
 
-    def __init__(self, name: str, driver: tuple[str, str], loads: Iterable[tuple[str, str]] = ()) -> None:
-        cell, pin = driver
-        ends = [cell, pin]
-        for cell, pin in loads:
-            ends += cell, pin
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "raw_ends", tuple(ends))
+    @property
+    def driver(self) -> Endpoint:
+        return Endpoint._make(self.raw_ends[:2])
 
-    def __reduce__(self) -> tuple:
-        # pickle would restore slots by setattr, which a frozen class refuses
-        return Net, (self.name, self.raw_ends[:2], tuple(zip(self.raw_ends[2::2], self.raw_ends[3::2])))
-
-
-# set after @dataclass, which would otherwise take a property for a default
-Net.driver = property(lambda net: Endpoint._make(net.raw_ends[:2]))  # type: ignore[assignment]
-Net.loads = property(  # type: ignore[assignment]
-    lambda net: tuple(map(Endpoint, net.raw_ends[2::2], net.raw_ends[3::2])))
+    @property
+    def loads(self) -> tuple[Endpoint, ...]:
+        return tuple(map(Endpoint, self.raw_ends[2::2], self.raw_ends[3::2]))
 
 
 # The builders below write trusted values straight into the records' slots
@@ -225,8 +210,8 @@ def _make_cell(name: str, kind: CellKind, island: str, cap_ff: float, gate_count
 
 
 def _make_net(name: str, raw_ends: tuple[str, ...]) -> Net:
-    """``Net(...)`` for an exact str tuple ``(driver cell, driver pin, load
-    cell, load pin, ...)``, stored as given."""
+    """``Net(name, raw_ends)``, the tuple stored as given: an exact str
+    tuple ``(driver cell, driver pin, load cell, load pin, ...)``."""
     net = _new(Net)
     _net_name(net, name)
     _net_ends(net, raw_ends)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 from pwr.crossings import CrossingIssue, IssueKind
@@ -37,6 +38,17 @@ from pwr.power import DynamicPowerParams, LeakageModel, leakage_current_per_gate
 VOLTAGES = (0.8, 1.0, 1.2)
 
 
+def flat(endpoints: Iterable[tuple[str, str]]) -> tuple[str, ...]:
+    """The ``Net.raw_ends`` of ``(cell, pin)`` endpoints, driver first."""
+    return tuple(end for endpoint in endpoints for end in endpoint)
+
+
+def _random_net(rng: random.Random, name: str, cells: Sequence[CellInstance]) -> Net:
+    """A net from a random cell's ``z`` to one to three random ``a<j>`` pins."""
+    driver = (rng.choice(cells).name, "z")
+    return Net(name, flat([driver, *((rng.choice(cells).name, f"a{j}") for j in range(rng.randint(1, 3)))]))
+
+
 def random_design(rng: random.Random) -> Design:
     """A small valid multi-island design with only plain cells."""
     islands = tuple(
@@ -53,14 +65,7 @@ def random_design(rng: random.Random) -> Design:
         )
         for i in range(rng.randint(2, 10))
     )
-    nets = tuple(
-        Net(
-            f"n{i}",
-            Endpoint(rng.choice(cells).name, "z"),
-            tuple(Endpoint(rng.choice(cells).name, f"a{j}") for j in range(rng.randint(1, 3))),
-        )
-        for i in range(rng.randint(1, 12))
-    )
+    nets = tuple(_random_net(rng, f"n{i}", cells) for i in range(rng.randint(1, 12)))
     return Design(islands, cells, nets, ())
 
 
@@ -79,9 +84,9 @@ def random_fixed_design(rng: random.Random) -> Design:
     nets = list(design.nets)
     always_on = [i.name for i in design.islands if not i.switchable]
     cells.append(CellInstance("pim0", CellKind.PIM, rng.choice(always_on), cap_ff=5.0))
-    nets.append(Net("pim_net", Endpoint("pim0", "z"), (Endpoint(rng.choice(cells).name, "a"),)))
+    nets.append(Net("pim_net", ("pim0", "z", rng.choice(cells).name, "a")))
     ports = (Port("pin", "in", rng.choice(VOLTAGES)), Port("pout", "out", rng.choice(VOLTAGES)))
-    nets.append(Net("pin_net", Endpoint("pin", "p"), (Endpoint(rng.choice(cells).name, "a"), Endpoint("pout", "p"))))
+    nets.append(Net("pin_net", ("pin", "p", rng.choice(cells).name, "a", "pout", "p")))
     for i in range(rng.randint(0, 8)):
         at = rng.randrange(len(nets))
         net = nets[at]
@@ -90,16 +95,16 @@ def random_fixed_design(rng: random.Random) -> Design:
         kind = rng.choice((CellKind.LEVEL_SHIFTER, CellKind.ISO))
         fix = CellInstance(f"fx{i}", kind, rng.choice(islands))
         cells.append(fix)
-        nets[at] = replace(net, loads=tuple(kept) + (Endpoint(fix.name, "a"),))
-        nets.append(Net(f"fx{i}_out", Endpoint(fix.name, "z"), tuple(moved)))
+        nets[at] = replace(net, raw_ends=flat([net.driver, *kept, (fix.name, "a")]))
+        nets.append(Net(f"fx{i}_out", flat([(fix.name, "z"), *moved])))
     for _ in range(rng.randint(0, 2)):
         taken = f"{rng.choice(('ls', 'iso'))}_{rng.choice(nets).name}"
         if any(n.name == f"{taken}_out" for n in nets):
             continue
         if rng.random() < 0.5:
             cells.append(CellInstance(taken, CellKind.STD, rng.choice(islands)))
-        loads = (Endpoint(rng.choice(cells).name, "a"),)
-        nets.append(Net(f"{taken}_out", Endpoint(rng.choice(cells).name, "y"), loads))
+        load = (rng.choice(cells).name, "a")
+        nets.append(Net(f"{taken}_out", (rng.choice(cells).name, "y", *load)))
     return Design(design.islands, tuple(cells), tuple(nets), ports)
 
 
@@ -136,7 +141,7 @@ def reference_parse_design(netlist_text: str, intent_text: str) -> Design:
         elif stmt == "net":
             driver = _endpoint("netlist", line_no, attrs["driver"])
             loads = [_endpoint("netlist", line_no, item) for item in attrs.get("loads", "").split(",") if item]
-            nets.append(Net(name, driver, loads))
+            nets.append(Net(name, flat([driver, *loads])))
         else:
             ports.append(Port(name, attrs["dir"], _float("netlist", line_no, "vdd", attrs["vdd"])))
         lines[stmt].append(line_no)
@@ -278,10 +283,10 @@ def reference_apply_power_fixes(design: Design) -> Design:
                 name = f"{prefix}_{net_name}" + (f"_{receiver}" if needed[net_name, kind] > 1 else "")
                 chain.append(unique(name, cell_names))
                 new_cells.append(CellInstance(chain[-1], cell_kind, receiver))
-        nets[net_name] = Net(net_name, net.driver, (*kept, Endpoint(chain[0], "a")))
+        nets[net_name] = Net(net_name, flat([net.driver, *kept, (chain[0], "a")]))
         for i, fix in enumerate(chain):
-            loads = (Endpoint(chain[i + 1], "a"),) if i + 1 < len(chain) else tuple(moved)
-            new_nets.append(Net(unique(f"{fix}_out", net_names), Endpoint(fix, "z"), loads))
+            loads = [(chain[i + 1], "a")] if i + 1 < len(chain) else moved
+            new_nets.append(Net(unique(f"{fix}_out", net_names), flat([(fix, "z"), *loads])))
     return Design(design.islands, design.cells + tuple(new_cells), tuple(nets.values()) + tuple(new_nets), design.ports)
 
 
@@ -302,21 +307,14 @@ def clashing_names_design(rng: random.Random) -> Design:
     for name in rng.sample(("ls_a", "ls_a_b", "iso_a_c", "ls_a_b_1", "iso_a"), rng.randint(0, 2)):
         cells.append(CellInstance(name, CellKind.STD, rng.choice("bcx")))
     names = rng.sample(("a", "a_b", "a_c", "a_1", "a_b_1", "a_x", "b", "ls_a_out"), rng.randint(2, 6))
-    nets = [
-        Net(
-            name,
-            Endpoint(rng.choice(cells).name, "z"),
-            tuple(Endpoint(rng.choice(cells).name, f"a{j}") for j in range(rng.randint(1, 3))),
-        )
-        for name in names
-    ]
+    nets = [_random_net(rng, name, cells) for name in names]
     plain = list(cells)
     if rng.random() < 0.5:
         cells.append(CellInstance("pim0", CellKind.PIM, rng.choice([i.name for i in islands if not i.switchable])))
     for island in islands:
         if island.switchable:
             for name in rng.sample((f"slpb_{island.name}", f"slpb_{island.name}_1"), rng.randint(0, 2)):
-                nets.append(Net(name, Endpoint(rng.choice(plain).name, "z"), (Endpoint(rng.choice(plain).name, "d"),)))
+                nets.append(Net(name, (rng.choice(plain).name, "z", rng.choice(plain).name, "d")))
     return Design(islands, tuple(cells), tuple(nets), ())
 
 

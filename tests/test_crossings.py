@@ -134,7 +134,7 @@ def test_insert_sleep_pins_names_its_port_clear_of_a_cell():
     )
     pinned = insert_sleep_pins(design)
     assert [p.name for p in pinned.ports] == ["slpb_x_1"]
-    assert _named(pinned.nets, "slpb_x") == Net("slpb_x", Endpoint("slpb_x_1", "p"), (Endpoint("b", "slpb"),))
+    assert _named(pinned.nets, "slpb_x") == Net("slpb_x", ("slpb_x_1", "p", "b", "slpb"))
     assert validate_design(pinned) == [] and verify_power_intent(pinned) == []
     assert insert_sleep_pins(pinned) == pinned
 
@@ -164,8 +164,8 @@ def test_insert_sleep_pins_leaves_another_islands_first_name_to_it():
     )
     pinned = insert_sleep_pins(design)
     assert pinned.nets[1:] == (
-        Net("slpb_x_2", Endpoint("slpb_x_2", "p"), (Endpoint("d", "slpb"), Endpoint("f", "slpb"))),
-        Net("slpb_x_1", Endpoint("slpb_x_1", "p"), (Endpoint("e", "slpb"),)),
+        Net("slpb_x_2", ("slpb_x_2", "p", "d", "slpb", "f", "slpb")),
+        Net("slpb_x_1", ("slpb_x_1", "p", "e", "slpb")),
     )
     assert [(p.name, p.vdd) for p in pinned.ports] == [("slpb_x_2", 1.0), ("slpb_x_1", 1.2)]
     assert validate_design(pinned) == [] and verify_power_intent(pinned) == []
@@ -245,7 +245,7 @@ def test_generated_names_step_past_user_names(extra, cell, net):
     design = parse_design(THREE_ISLAND_NETLIST + extra, THREE_ISLAND_INTENT)
     fixed = _fix(design)
     assert _named(fixed.nets, "cpu2usb").loads == (Endpoint(cell, "a"),)
-    assert _named(fixed.nets, net) == Net(net, Endpoint(cell, "z"), (Endpoint("usb0", "a"),))
+    assert _named(fixed.nets, net) == Net(net, (cell, "z", "usb0", "a"))
     assert verify_power_intent(fixed) == []
     assert validate_design(fixed) == []
     assert _fix(fixed) == fixed
@@ -334,7 +334,7 @@ def test_fix_hooks_a_flagged_cell_that_no_sleep_net_reaches():
         "missing_sleep_pin block: cell in switchable island 'logic' has a sleep pin no net drives"
     ]
     fixed = _fix(design)
-    slpb = Net("slpb_logic", Endpoint("pim0", "slpb_logic"), (Endpoint("block", "slpb"),))
+    slpb = Net("slpb_logic", ("pim0", "slpb_logic", "block", "slpb"))
     assert _named(fixed.nets, "slpb_logic") == slpb
     assert verify_power_intent(fixed) == []
     assert _fix(fixed) == fixed

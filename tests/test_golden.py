@@ -1,15 +1,22 @@
 """Golden digests: the benchmark's seed-1 inputs, run through the benchmark's
 CLI commands in process, give the six outputs whose sha256 ROADMAP item 3
 records.  A change to any output fails here unless its digest is updated on
-purpose (and the change is listed in CHANGES.md as a data change)."""
+purpose (and the change is listed in CHANGES.md as a data change).  The
+benchmark's own reference results, which read designs through the public
+records, must agree with the library on the same inputs."""
 
 import hashlib
+import json
 import types
 from pathlib import Path
 
 import pytest
 
 from pwr.cli import run_cli
+from pwr.crossings import analyze_crossings
+from pwr.netlist import parse_activity, parse_design
+from pwr.power import DynamicPowerParams, power_report
+from pwr.report import emit_report, power_to_report
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,12 +36,12 @@ GOLDEN_SEED_1 = {
 }
 
 
-def _bench_gen() -> types.ModuleType:
-    """``bench/gen.py``, run from its source text, so that nothing is written
-    under ``bench/`` (no bytecode cache) and ``bench/`` is not put on the
-    import path."""
-    path = _BENCH / "gen.py"
-    module = types.ModuleType("bench_gen")
+def _bench(name: str) -> types.ModuleType:
+    """``bench/<name>.py``, run from its source text, so that nothing is
+    written under ``bench/`` (no bytecode cache) and ``bench/`` is not put on
+    the import path."""
+    path = _BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
@@ -62,7 +69,7 @@ def _commands(gen) -> dict[str, list[tuple[list[str], str | None]]]:
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN_SEED_1))
 def test_seed_1_outputs_keep_their_digests(workload, tmp_path, monkeypatch, capsys):
-    gen = _bench_gen()
+    gen = _bench("gen")
     for name, text in gen.GENERATORS[workload](1).items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -73,3 +80,25 @@ def test_seed_1_outputs_keep_their_digests(workload, tmp_path, monkeypatch, caps
             (tmp_path / stdout_name).write_text(out, encoding="utf-8")
     golden = GOLDEN_SEED_1[workload]
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden} == golden
+
+
+def test_the_benchmark_oracles_agree_with_the_library_on_seed_1():
+    """``bench/oracles.py`` walks ``net.driver`` and ``net.loads``: its
+    crossing count on the ``fix_check`` design and its power sums on the
+    ``power_sweep`` design match ``analyze_crossings`` and ``power_report``."""
+    gen, oracles = _bench("gen"), _bench("oracles")
+    texts = gen.fix_check(1)
+    design = parse_design(texts["design.net"], texts["design.intent"])
+    issues, _ = oracles.crossing_reference(design)
+    assert issues == len(analyze_crossings(design)) > 0
+
+    texts = gen.power_sweep(1)
+    design = parse_design(texts["design.net"], texts["design.intent"])
+    fclk = gen.SWEEP_FCLK_MHZ
+    activity = parse_activity(texts["design.act"], fclk, design=design)
+    dynamic = oracles.dynamic_reference(design, oracles.sa_by_net(texts["design.act"], fclk), fclk)
+    switchable = frozenset(i.name for i in design.islands if i.switchable)
+    for asleep, temp_c in ((frozenset(), 25.0), (switchable, 125.0)):
+        report = power_report(design, activity, DynamicPowerParams(fclk), sleeping=asleep, temp_c=temp_c)
+        rows = json.loads(emit_report(power_to_report(report), "json"))["rows"]
+        assert oracles.power_rows_match(rows, dynamic, oracles.static_reference(design, asleep, temp_c))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
 from helpers import (
     clashing_names_design,
+    flat,
     random_design,
     random_fixed_design,
     reference_parse_activity,
@@ -85,12 +86,7 @@ def test_second_pim_cell_errors():
 
 
 def test_unresolved_driver_is_reported():
-    from pwr.netlist import Endpoint, Net
-
-    design = Design(
-        islands=(Island("x", 1.2),),
-        nets=(Net("n1", Endpoint("ghost", "z"), (Endpoint("ghost", "a"),)),),
-    )
+    design = Design(islands=(Island("x", 1.2),), nets=(Net("n1", ("ghost", "z", "ghost", "a")),))
     errors = validate_design(design)
     assert any(str(e) == "net n1: unresolved driver" for e in errors)
 
@@ -176,6 +172,14 @@ def _pim_into_switchable(design: Design, rng: random.Random) -> Design:
     return replace(design, islands=tuple(islands), cells=cells)
 
 
+def _change_ends(design: Design, rng: random.Random, ends) -> Design:
+    """One random net's ``raw_ends`` made ``ends(raw_ends)``."""
+    nets = list(design.nets)
+    at = rng.randrange(len(nets))
+    nets[at] = replace(nets[at], raw_ends=ends(nets[at].raw_ends))
+    return replace(design, nets=tuple(nets))
+
+
 def _change_one(design: Design, field: str, rng: random.Random, **changes) -> Design:
     items = list(getattr(design, field))
     at = rng.randrange(len(items))
@@ -199,9 +203,9 @@ _DEFECTS = {
     "port-vdd": lambda d, r: _change_one(d, "ports", r, vdd=r.choice((0.0, -1.2))),
     "port-direction": lambda d, r: _change_one(d, "ports", r, direction=r.choice(("sideways", "inout"))),
     "duplicate-net": lambda d, r: replace(d, nets=d.nets + (r.choice(d.nets),)),
-    "unresolved-driver": lambda d, r: _change_one(d, "nets", r, driver=Endpoint("ghost", "z")),
-    "unresolved-load": lambda d, r: _change_one(d, "nets", r, loads=(Endpoint("ghost", "a"),)),
-    "no-loads": lambda d, r: _change_one(d, "nets", r, loads=()),
+    "unresolved-driver": lambda d, r: _change_ends(d, r, lambda ends: ("ghost", "z", *ends[2:])),
+    "unresolved-load": lambda d, r: _change_ends(d, r, lambda ends: (*ends[:2], "ghost", "a")),
+    "no-loads": lambda d, r: _change_ends(d, r, lambda ends: ends[:2]),
 }
 
 
@@ -355,7 +359,7 @@ def test_parsed_endpoints_are_not_gc_tracked():
     pinned = insert_sleep_pins(design)
     fixed = apply_power_fixes(pinned)
     built = _make_net("n", tuple("a.z.b.a.c.a".split(".")))
-    constructed = Net("m", Endpoint("a", "z"), [Endpoint("b", "a"), ("c", "a")])
+    constructed = Net("m", ("a", "z", "b", "a", "c", "a"))
     nets = design.nets + pinned.nets + fixed.nets + (built, constructed)
     gc.collect()
     for net in nets:
@@ -371,11 +375,11 @@ def test_parsed_endpoints_are_not_gc_tracked():
 def test_net_keeps_the_dataclass_api(seed):
     design = random_fixed_design(random.Random(seed))
     parsed = parse_design(*serialize_design(design))
-    assert [f.name for f in fields(Net)] == ["name", "driver", "loads"]
+    assert [f.name for f in fields(Net)] == ["name", "raw_ends"]
     for net, read in zip(design.nets, parsed.nets):
         ends = net.raw_ends
         loads = tuple(map(Endpoint, ends[2::2], ends[3::2]))
-        constructed = Net(net.name, Endpoint(*ends[:2]), loads)
+        constructed = Net(net.name, ends)
         built = _make_net(net.name, ends)
         for record in (constructed, built, read):
             assert type(record.raw_ends) is tuple and record.raw_ends == ends
@@ -383,8 +387,8 @@ def test_net_keeps_the_dataclass_api(seed):
             assert record == net and hash(record) == hash(net) and repr(record) == repr(net)
             assert record.loads == loads and all(type(ep) is Endpoint for ep in record.loads)
             assert type(record.driver) is Endpoint and record.driver == ends[:2]
-            assert repr(record).startswith(f"Net(name='{net.name}', driver=Endpoint(")
-            moved = replace(record, loads=loads[::-1])
+            assert repr(record) == f"Net(name={net.name!r}, raw_ends={ends!r})"
+            moved = replace(record, raw_ends=flat([record.driver, *loads[::-1]]))
             assert moved.loads == loads[::-1] and moved.raw_ends[:2] == ends[:2]
             assert (moved == net) == (loads == loads[::-1])
             assert pickle.loads(pickle.dumps(record)) == record
@@ -394,44 +398,37 @@ def test_net_keeps_the_dataclass_api(seed):
     assert parsed == design
 
 
-def _flat(endpoints):
-    return tuple(end for endpoint in endpoints for end in endpoint)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(["plain", "fixed", "clashing"]))
 def test_every_net_builder_agrees_on_the_flat_ends(seed, kind):
-    """``parse_design``, ``Net(...)``, ``_make_net``, pickle and
+    """``parse_design``, ``Net(name, raw_ends)``, ``_make_net``, pickle and
     ``dataclasses.replace`` keep the same ``raw_ends`` and show the same
-    ``driver``/``loads`` views, for loadless nets too, before and after
-    ``fix_design``; and the text round-trips."""
+    ``driver``/``loads`` views, which flatten back to it, for loadless nets
+    too, before and after ``fix_design``; and the text round-trips."""
     rng = random.Random(seed)
     design = {"plain": random_design, "fixed": random_fixed_design, "clashing": clashing_names_design}[kind](rng)
     if design.ports:  # a net named like an output port needs no loads
-        design = replace(design, nets=design.nets + (Net("pout", Endpoint(design.cells[0].name, "y")),))
+        design = replace(design, nets=design.nets + (Net("pout", (design.cells[0].name, "y")),))
     for source in (design, fix_design(design)[0]):
         text = serialize_design(source)
         parsed = parse_design(*text)
         assert serialize_design(parsed) == text and parsed == source
         for net, read in zip(source.nets, parsed.nets):
-            ends = _flat((net.driver, *net.loads))
+            ends = flat((net.driver, *net.loads))
             views = (Endpoint(*ends[:2]), tuple(map(Endpoint, ends[2::2], ends[3::2])))
             others = (
                 read,
-                Net(net.name, net.driver, net.loads),
-                Net(net.name, tuple(net.driver), list(map(tuple, net.loads))),
+                Net(net.name, ends),
                 _make_net(net.name, ends),
                 pickle.loads(pickle.dumps(net)),
                 replace(net),
                 replace(net, name="renamed"),
-                replace(net, loads=net.loads),
-                replace(net, driver=tuple(net.driver)),
+                replace(net, raw_ends=ends),
             )
             for record in (net, *others):
                 assert record.raw_ends == ends and type(record.raw_ends) is tuple
                 assert (record.driver, record.loads) == views
-            assert replace(net, loads=()).raw_ends == ends[:2]
-            assert replace(net, loads=net.loads[::-1]).raw_ends == ends[:2] + _flat(net.loads[::-1])
+            assert replace(net, raw_ends=ends[:2]).loads == ()
 
 
 @settings(max_examples=50, deadline=None)
