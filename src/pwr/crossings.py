@@ -87,7 +87,7 @@ def _crossings(design: Design) -> Iterator[tuple[str, str, str, IssueKind, float
     """The fields of each ``analyze_crossings`` issue, in its order, as a plain
     tuple: what ``apply_power_fixes`` and ``fix_design``'s tally read."""
     islands = design.islands_by_name()
-    for net, driver_name, terminals in design.topology.crossing_walks:
+    for net, driver_name, terminals in zip(*design.topology.crossing_walks):
         switchable = islands[driver_name].switchable
         seen: set[tuple[str, IssueKind]] = set()
         for receiver_name, swing_island, isolated in terminals:
@@ -155,9 +155,9 @@ def apply_power_fixes(design: Design) -> Design:
     # the design's nets that a generated net name could clash with
     fix_nets = {net.name for net in design.nets if net.name.startswith(_FIX_PREFIXES)}
 
-    # the cell names this call adds; cells and ports share a namespace
-    added: set[str] = set()
-    new_cells: list[CellInstance] = []
+    # the cells this call adds, by name, in splice order; cells and ports
+    # share a namespace
+    new_cells: dict[str, CellInstance] = {}
     new_nets: list[Net] = []
     patched = {net.name: net for net in design.nets if net.name in fixes_of}
     for net_name, receiver in zip(chain_nets, chain_receivers):
@@ -177,9 +177,8 @@ def apply_power_fixes(design: Design) -> Design:
             name = f"{prefix}_{net_name}"
             if (fixes & every_lane[bit]).bit_count() > 1:
                 name += f"_{receiver}"
-            name = _unique(name, cells, ports, added)
-            added.add(name)
-            new_cells.append(_make_cell(name, cell_kind, receiver, 0.0, 1, False))
+            name = _unique(name, cells, ports, new_cells)
+            new_cells[name] = _make_cell(name, cell_kind, receiver, 0.0, 1, False)
             chain.append(name)
 
         patched[net_name] = _make_net(net_name, (*other_ends, chain[0], "a"))
@@ -189,8 +188,9 @@ def apply_power_fixes(design: Design) -> Design:
             out_name = _unique(f"{fix_name}_out", fix_nets)
             new_nets.append(_make_net(out_name, (fix_name, "z", *loads)))
 
+    del fixes_of, chain_nets, chain_receivers  # the plan is freed before the records are copied
     nets = tuple(patched.get(n.name, n) for n in design.nets) + tuple(new_nets)
-    return replace(design, cells=design.cells + tuple(new_cells), nets=nets)
+    return replace(design, cells=design.cells + tuple(new_cells.values()), nets=nets)
 
 
 def insert_sleep_pins(design: Design) -> Design:

@@ -60,7 +60,9 @@ cell's island its ``Island.name``; ``parse_activity`` with ``design=`` keys
 its result by the design's ``Net.name`` objects.  The table is a plain dict
 dropped after the line loop, not ``sys.intern``: interned strings are
 immortal on CPython 3.12, so a process that parses many designs would keep
-every name it ever read.
+every name it ever read.  A second such table gives each distinct ``cap_ff``
+text one float (a fixed netlist repeats ``cap_ff=0.0`` for every fix cell);
+it is keyed by text, not value, so ``-0.0`` keeps its sign.
 
 A ``Design`` also carries a topology index (the cell map, the manager
 cell, gate sums per island, dynamic-power terms and the crossing walk),
@@ -69,7 +71,8 @@ a pure function of the frozen fields it reads, so a thread race can compute
 one twice but never get a different value.  The walk and the power terms
 depend only on ``cells`` and ``nets``: ``Design.with_supplies`` retargets
 the island supplies and shares the index, while any other new ``Design``
-builds its own.
+builds its own.  The walk keeps its entries as three columns, not a tuple
+each, and frees its scratch before it copies them into tuples.
 """
 
 from __future__ import annotations
@@ -229,9 +232,10 @@ class Port:
 # (receiving island, island whose supply sets the arriving swing,
 #  whether an iso cell outside the driver's island is on the path).
 Terminal = tuple[str, str, bool]
-# One net reached by a walk: (net, island of the walk's driver, distinct
-# foreign terminals among the net's direct loads).
-CrossingWalk = tuple[str, str, tuple[Terminal, ...]]
+# The nets reached by the walks as three columns of equal length: each
+# net, the island of its walk's driver, and the distinct foreign terminals
+# among the net's direct loads.
+CrossingWalks = tuple[tuple[str, ...], tuple[str, ...], tuple[tuple[Terminal, ...], ...]]
 
 
 class Topology:
@@ -279,7 +283,7 @@ class Topology:
         return MappingProxyType({island: (tuple(caps), tuple(nets)) for island, (caps, nets) in out.items()})
 
     @cached_property
-    def crossing_walks(self) -> tuple[CrossingWalk, ...]:
+    def crossing_walks(self) -> CrossingWalks:
         """Breadth-first walks from each signal's real driver through the
         level shifters and iso cells on its path.
 
@@ -293,48 +297,58 @@ class Topology:
         walk reaches files, in walk order, the distinct terminals outside the
         driver's island among its own direct loads (that net is where a fix
         must splice), if any, once per driver island: later walks from that
-        island add theirs to its entry.
+        island add theirs to its entry.  The entries come as three columns
+        (see ``CrossingWalks``), with no tuple per entry.
         """
+        # the walk's scratch is freed before its columns are copied
+        walked, homes, found_at = self._walk()
+        return tuple(walked), tuple(homes), tuple(found_at)
+
+    def _walk(self) -> tuple[list[str], list[str], list[tuple[Terminal, ...]]]:
+        """The three columns of ``crossing_walks``, as lists."""
         cells = self._cell_map
-        starts: list[Net] = []
-        relays: list[Net] = []
-        for net in self._nets:
-            driver = cells.get(net.raw_ends[0])
-            if driver is not None and driver.kind in FIX_KINDS:
-                relays.append(net)
-            elif driver is not None:
-                starts.append(net)
+        nets = self._nets
         # The walk only continues through fix cells, so only their nets
         # matter: each fix cell's first net, and a chain from each net to
         # the next of its fix cell, for the rare cell that drives several.
         relayed: dict[str, Net] = {}
         next_relay: dict[str, Net] = {}
-        for net in reversed(relays):
+        for net in reversed(nets):
             cell = net.raw_ends[0]
-            if cell in relayed:
-                next_relay[net.name] = relayed[cell]
-            relayed[cell] = net
+            driver = cells.get(cell)
+            if driver is not None and driver.kind in FIX_KINDS:
+                if cell in relayed:
+                    next_relay[net.name] = relayed[cell]
+                relayed[cell] = net
 
         def relay_starts() -> Iterator[Net]:
             # A walk that reaches a fix-driven net reaches every net of each
             # fix cell on it, so the missed nets' own loads decide which fix
             # cells are fed; those that are not go first.
-            missed = [net for net in relays if net.name not in reached]
+            missed = [net for net in nets if net.raw_ends[0] in relayed and net.name not in reached]
             fed = {cell for net in missed for cell in net.raw_ends[2::2]}
             missed.sort(key=lambda net: net.raw_ends[0] in fed)
             yield from missed
 
+        # the nets driven by a cell that is not a fix cell, in net order
+        starts = (net for net in nets if net.raw_ends[0] in cells and net.raw_ends[0] not in relayed)
         # identical terminals and terminal sets are shared between nets
         shared: dict[tuple, tuple] = {}
-        walks: list[CrossingWalk] = []
-        reached: set[str] = set()
-        # where each fix-driven net was filed, by walk driver island
-        filed: dict[str, dict[str, int]] = {}
+        walked: list[str] = []
+        homes: list[str] = []
+        found_at: list[tuple[Terminal, ...]] = []
+        # Each fix-driven net some walk reached or started, with the index of
+        # its first entry (-1 while it has none); ``refiled`` links each entry
+        # of a net filed for several walk driver islands to its next one.  A
+        # dict of 11.3k str keys takes 415 KB on CPython 3.11, a set of them
+        # 525 KB: a set keeps a 16 B entry in every slot of its table, a dict
+        # a 2 B index per slot and 16 B entries for two slots in three.
+        reached: dict[str, int] = {}
+        refiled: dict[int, int] = {}
         for net in chain(starts, relay_starts()):
             if net.name in reached:
                 continue
             home = cells[net.raw_ends[0]].island
-            filed_here = filed.get(home) or filed.setdefault(home, {})
             frontier = [(net, home, False)]
             visited = {net.name}
             for current, swing, isolated in frontier:  # grows while iterated: BFS order
@@ -350,7 +364,7 @@ class Topology:
                         while onward is not None:
                             if onward.name not in visited:
                                 visited.add(onward.name)
-                                reached.add(onward.name)
+                                reached.setdefault(onward.name, -1)
                                 frontier.append((onward, next_swing, next_iso))
                             onward = next_relay.get(onward.name)
                     elif load.island != home:
@@ -359,15 +373,27 @@ class Topology:
                             terminals.append(shared.setdefault(terminal, terminal))
                 if not terminals:
                     continue
-                at = len(walks)
-                if current.raw_ends[0] in relayed:  # another walk may have filed it
-                    at = filed_here.setdefault(current.name, at)
-                    if at < len(walks):  # merge, keeping the earlier walk's terminals first
-                        terminals = [*walks[at][2], *(t for t in terminals if t not in walks[at][2])]
+                # the net's entry for this driver island, if another walk filed it
+                before, at = -1, -1
+                if current.raw_ends[0] in relayed:
+                    at = reached.get(current.name, -1)
+                    while at >= 0 and homes[at] != home:
+                        before, at = at, refiled.get(at, -1)
+                    if at < 0 and before < 0:
+                        reached[current.name] = len(walked)
+                    elif at < 0:
+                        refiled[before] = len(walked)
+                if at >= 0:  # merge, keeping the earlier walk's terminals first
+                    terminals = [*found_at[at], *(t for t in terminals if t not in found_at[at])]
                 found = tuple(terminals)
-                # replaces the entry at ``at``, or appends when at == len(walks)
-                walks[at:at + 1] = [(current.name, home, shared.setdefault(found, found))]
-        return tuple(walks)
+                found = shared.setdefault(found, found)
+                if at >= 0:
+                    found_at[at] = found
+                else:
+                    walked.append(current.name)
+                    homes.append(home)
+                    found_at.append(found)
+        return walked, homes, found_at
 
 
 @dataclass(frozen=True)
@@ -615,8 +641,10 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
     cells: list[CellInstance] = []
     nets: list[Net] = []
     ports: list[Port] = []
-    # one str object per distinct cell, port, island and pin text
+    # one str object per distinct cell, port, island and pin text, and one
+    # float per distinct cap_ff text (texts as keys keep the sign of -0.0)
     name_of = {island.name: island.name for island in islands}.setdefault
+    cap_of = {}.setdefault
     kinds = _KIND_BY_VALUE
     isfinite = math.isfinite
     for line_no, tokens in _token_lines(netlist_text):
@@ -645,7 +673,7 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
                         sleep = value
                     else:
                         raise ValueError
-                cap = 0.0 if cap_ff is None else float(cap_ff)
+                cap = 0.0 if cap_ff is None else cap_of(cap_ff, float(cap_ff))
                 if kind not in kinds or island is None or not isfinite(cap) or sleep not in (None, "0", "1"):
                     raise ValueError
                 cells.append(_make_cell(
@@ -685,7 +713,7 @@ def parse_design(netlist_text: str | TextIO, intent_text: str | TextIO) -> Desig
                 raise ValueError
         except ValueError:
             raise _netlist_fault(line_no, tokens) from None
-    del name_of  # the table is not needed past the line loop
+    del name_of, cap_of  # the tables are not needed past the line loop
 
     design = Design(tuple(islands), tuple(cells), tuple(nets), tuple(ports))
     faults = list(_design_faults(design))

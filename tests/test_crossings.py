@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import THREE_ISLAND_INTENT, THREE_ISLAND_NETLIST
-from helpers import clashing_names_design, random_design, random_fixed_design, reference_apply_power_fixes
+from helpers import (
+    clashing_names_design,
+    random_design,
+    random_fixed_design,
+    reference_apply_power_fixes,
+    reference_crossings,
+)
 from pwr.crossings import (
     IssueKind,
     analyze_crossings,
@@ -365,6 +371,25 @@ def test_a_shifter_fed_from_two_islands_gets_one_issue_per_island_and_one_cell()
     ]
     fixed = apply_power_fixes(design)
     assert [c.name for c in fixed.cells if c.kind is CellKind.ISO] == ["iso_n3"]
+
+
+def test_a_shifter_reached_again_from_its_second_island_merges_into_that_islands_entry():
+    # n1 (island a), then n2 and n3 (both island c) feed ls0: the walk from
+    # n3 reaches n4 after a and c have each filed it once
+    design = parse_design(
+        "cell x1 kind=std island=a\ncell x2 kind=std island=c\ncell x3 kind=std island=c\n"
+        "cell ls0 kind=levelshifter island=d\ncell y kind=std island=b\n"
+        "net n1 driver=x1.z loads=ls0.a\nnet n2 driver=x2.z loads=ls0.b\nnet n3 driver=x3.z loads=ls0.c\n"
+        "net n4 driver=ls0.z loads=y.a\n",
+        "island a vdd=1.0 switchable=1\nisland c vdd=1.0 switchable=1\nisland d vdd=0.8\nisland b vdd=1.0\n",
+    )
+    issues = analyze_crossings(design)
+    assert [(i.net, i.driver_island, i.kind) for i in issues] == [
+        ("n4", "a", IssueKind.NEEDS_LEVEL_SHIFTER), ("n4", "a", IssueKind.NEEDS_ISOLATION),
+        ("n4", "c", IssueKind.NEEDS_LEVEL_SHIFTER), ("n4", "c", IssueKind.NEEDS_ISOLATION),
+    ]
+    assert issues == reference_crossings(design)
+    assert design.topology.crossing_walks[0] == ("n4", "n4")
 
 
 def test_a_fix_driven_chain_is_walked_from_its_first_fix_cell():

@@ -350,6 +350,21 @@ def test_roundtrip_random_designs(seed):
     assert parse_design(netlist_text, intent_text) == design
 
 
+def test_equal_cap_ff_texts_share_one_float():
+    """One float per distinct ``cap_ff`` text: a fixed netlist repeats
+    ``cap_ff=0.0`` once per fix cell.  Texts, not values, are the keys, so
+    ``-0.0`` keeps its sign."""
+    texts = ["0.0", "12.5", "-0.0", "0.0", "12.5", "-0.0", "0.0"]
+    netlist_text = "".join(f"cell c{i} kind=std island=a cap_ff={text}\n" for i, text in enumerate(texts))
+    design = parse_design(netlist_text + "cell d kind=std island=a\n", "island a vdd=1.0\n")
+    *caps, missing = (cell.cap_ff for cell in design.cells)
+    for text, cap in zip(texts, caps):
+        assert cap == float(text) and math.copysign(1.0, cap) == math.copysign(1.0, float(text))
+        assert cap is caps[texts.index(text)]
+    assert len({id(cap) for cap in caps}) == 3
+    assert missing == 0.0 and math.copysign(1.0, missing) == 1.0
+
+
 def test_parsed_endpoints_are_not_gc_tracked():
     """A net keeps its endpoints in one exact tuple of exact strs, which one
     collection untracks: no tuple per endpoint, no ``Endpoint`` kept."""

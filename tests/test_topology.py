@@ -1,10 +1,12 @@
 """The per-Design topology index against uncached references."""
 
+import gc
 import math
 import pickle
 import random
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -17,9 +19,10 @@ from helpers import (
     reference_crossings,
     reference_dynamic_w,
     reference_static_w,
+    soc_texts,
 )
-from pwr.crossings import analyze_crossings, verify_power_intent
-from pwr.netlist import CharRow, CharTable, Island, parse_design, validate_design
+from pwr.crossings import analyze_crossings, fix_design, verify_power_intent
+from pwr.netlist import CharRow, CharTable, Island, parse_design, serialize_design, validate_design
 from pwr.power import DynamicPowerParams, LeakageModel, dynamic_power, static_power
 from pwr.voltage import assign_voltages
 
@@ -45,6 +48,32 @@ def test_crossings_match_reference(seed):
     assert analyze_crossings(design) == expected
     # a second query reads the cached walk and must not drift
     assert analyze_crossings(design) == expected
+
+
+def test_the_crossing_walk_keeps_three_columns_and_little_scratch():
+    """The cached walk of a fixed 2,000-cell SoC, by ``tracemalloc``: what it
+    keeps per entry, and its peak above that per net it walks (every
+    cell-driven net).  One ``(net, home, terminals)`` tuple per entry kept
+    76 B per entry, and a set of reached nets beside one filing dict per
+    driver island took 81 B of scratch per walked net on CPython 3.11.
+    Three columns keep 28 B per entry, and one dict of reached nets that
+    also files them takes 39 B (48 B on 3.10)."""
+    netlist_text, intent_text, _ = soc_texts(random.Random(1), 2000)
+    design = parse_design(*serialize_design(fix_design(parse_design(netlist_text, intent_text))[0]))
+    topology = design.topology
+    cells = topology.cells_by_name  # the cell map is built before the walk
+    walked = sum(net.raw_ends[0] in cells for net in design.nets)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        nets, homes, terminals = topology.crossing_walks
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(nets) == len(homes) == len(terminals) > 2000
+    assert kept / len(nets) <= 40, f"{kept / len(nets):.1f} B kept per entry"
+    assert (peak - kept) / walked <= 60, f"{(peak - kept) / walked:.1f} B of scratch per walked net"
 
 
 @settings(max_examples=200, deadline=None)
